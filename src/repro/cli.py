@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the on-disk result store (see 'repro cache')")
         p.add_argument("--host-trace", metavar="PATH", default=None,
                        help="record host-side telemetry (worker lanes, store "
-                            "IO, kernel tiers) and write a Chrome trace to PATH")
+                            "IO, gather/scatter paths) and write a Chrome trace to PATH")
 
     def add_sweep_options(p: argparse.ArgumentParser, with_platform: bool = True) -> None:
         if with_platform:

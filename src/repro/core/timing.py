@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..kernels import scalar_mode, summarize_batch
-from ..obs import host as _host
-
 __all__ = ["TimingPolicy", "TimingStats", "summarize"]
 
 
@@ -69,30 +66,11 @@ def summarize(times: list[float], dismiss_sigma: float | None = 1.0) -> TimingSt
     if any(t < 0 for t in times):
         raise ValueError("negative measurement")
     n = len(times)
-    if not scalar_mode():
-        if _host.active is not None:
-            _host.active.metrics.counter("kernel.summarize.batched").inc()
-        # Batched tier: the whole iteration vector in one numpy pass,
-        # bit-identical to the sequential loop below (the differential
-        # test in tests/core/test_timing.py pins exact equality).
-        mean, std, kept_mean, dismissed, minimum, maximum = summarize_batch(
-            times, dismiss_sigma
-        )
-        return TimingStats(
-            times=tuple(times),
-            mean=mean,
-            std=std,
-            kept_mean=kept_mean,
-            dismissed=dismissed,
-            minimum=minimum,
-            maximum=maximum,
-        )
-    if _host.active is not None:
-        _host.active.metrics.counter("kernel.summarize.scalar").inc()
     mean = sum(times) / n
     # (t - mean) * (t - mean), not ** 2: ``pow`` is not guaranteed
     # correctly rounded and can differ from the multiply by 1 ulp,
-    # which would break bit-identity with the batched tier.
+    # and the timing tests pin exact equality against a vectorized
+    # oracle (tests/oracles.py) that squares by multiplying.
     var = sum((t - mean) * (t - mean) for t in times) / n
     std = math.sqrt(var)
     # A spread at floating-point rounding level is not a measurement

@@ -1,12 +1,17 @@
 """Per-scheme ping-pong pricing for an arbitrary access pattern.
 
-:class:`~repro.machine.analytic.AnalyticModel` predicts the paper's
-stride-2 double layout in closed form.  :class:`SchemePricer` is the
-same arithmetic with the layout abstracted out: every formula takes an
-:class:`AccessPattern` instead of a byte count, so any derived datatype
-the IR can canonicalize can be priced through the identical machine
-model.  ``AnalyticModel`` delegates here with ``stride2_pattern`` — the
-two are bit-identical by construction for the paper's layout.
+The closed-form counterpart of the discrete-event simulation: the
+simulator composes the same costs event by event, so for simple
+scenarios the two must agree (the simulation-vs-model tests pin it to
+2%), and the ``model`` experiment reports the predictions next to
+measured values.  Every formula takes an :class:`AccessPattern` rather
+than a byte count, so any derived datatype the IR can canonicalize is
+priced through the identical machine model; the paper's own stride-2
+double layout is ``SchemePricer(plat).<scheme>(stride2_pattern(n))``.
+
+All predictions are for one ping-pong in the paper's harness (zero-byte
+pong, cold caches), ignoring sub-microsecond per-call constants unless
+stated.
 
 Scheme keys mirror ``repro.core.schemes`` (the machine layer must not
 import it; a test pins the two lists against each other).
@@ -225,6 +230,15 @@ class SchemePricer:
             + land
             + fence
         )
+
+    def predicted_copying_slowdown(self) -> float:
+        """The asymptotic copying slowdown — the paper's 'factor of
+        three' once memory and network bandwidths are equal: the gather
+        reads 2N at DRAM speed, half the write is exposed, then the send
+        moves N at wire speed."""
+        net = self.platform.network.bandwidth
+        mem = self.platform.memory.hierarchy
+        return 1.0 + net * (2.0 / mem.dram_read_bandwidth + 0.5 / mem.dram_write_bandwidth)
 
     # ------------------------------------------------------------------
     # Dispatch

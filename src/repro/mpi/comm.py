@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..kernels import kernel_mode
 from ..sim.sync import SimCondition
 from .buffers import SimBuffer, as_simbuffer
 from .datatypes import BYTE, Datatype, from_numpy_dtype, pack_bytes, unpack_bytes
@@ -144,6 +143,14 @@ class Comm:
             raise CommunicatorError(f"{what} rank {rank} outside [0, {self.size})")
 
     @staticmethod
+    def _check_tag(tag: int, *, wildcard: bool) -> None:
+        """Sends need ``tag >= 0``; receives and probes also accept
+        ``ANY_TAG`` (MPI_ERR_TAG otherwise)."""
+        floor = ANY_TAG if wildcard else 0
+        if tag < floor:
+            raise CommunicatorError(f"tag {tag} below {floor}")
+
+    @staticmethod
     def _is_packed(datatype: Datatype) -> bool:
         return datatype is PACKED
 
@@ -173,6 +180,7 @@ class Comm:
     ) -> SendOperation:
         """Inline sender-side work shared by Send/Isend/Ssend."""
         self._check_peer(dest, "destination")
+        self._check_tag(tag, wildcard=False)
         sbuf, count, datatype, plan = self._resolve(buf, count, datatype)
         task = self.process.task
         cost = self._cost
@@ -223,7 +231,7 @@ class Comm:
                              "p2p.staging", rank=rank, category="staging",
                              parent=envelope, nbytes=nbytes,
                              datatype=plan.datatype_name, chunks=chunks,
-                             plan_reuse=plan.reuses, kernel=kernel_mode())
+                             plan_reuse=plan.reuses)
         op = SendOperation(
             self.world,
             self.process,
@@ -264,6 +272,7 @@ class Comm:
         the platform's buffered-send bandwidth derating (section 4.2).
         """
         self._check_peer(dest, "destination")
+        self._check_tag(tag, wildcard=False)
         sbuf, count, datatype, plan = self._resolve(buf, count, datatype)
         task = self.process.task
         cost = self._cost
@@ -315,6 +324,7 @@ class Comm:
     # ------------------------------------------------------------------
     def _post_receive(self, buf, source: int, tag: int, count: int | None,
                       datatype: Datatype | None):
+        self._check_tag(tag, wildcard=True)
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
             source = self._world_rank(source)
@@ -443,6 +453,7 @@ class Comm:
         """``MPI_Send_init``: a persistent send request (use ``Start``)."""
         from .persistent import PersistentSendRequest
 
+        self._check_tag(tag, wildcard=False)
         return PersistentSendRequest(self, buf, dest, tag, count, datatype)
 
     def Recv_init(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
@@ -450,6 +461,7 @@ class Comm:
         """``MPI_Recv_init``: a persistent receive request."""
         from .persistent import PersistentRecvRequest
 
+        self._check_tag(tag, wildcard=True)
         return PersistentRecvRequest(self, buf, source, tag, count, datatype)
 
     def Sendrecv_replace(self, buf, dest: int, source: int,
@@ -476,6 +488,7 @@ class Comm:
     def Probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Blocking probe: returns the envelope of the first matching
         pending message without receiving it."""
+        self._check_tag(tag, wildcard=True)
         task = self.process.task
         task.sleep(self._cost.call())
         inbox = self.process.inbox
@@ -489,6 +502,7 @@ class Comm:
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[bool, Status | None]:
         """Nonblocking probe."""
+        self._check_tag(tag, wildcard=True)
         self.process.task.sleep(self._cost.call())
         world_source = source if source == ANY_SOURCE else self._world_rank(source)
         msg = self.process.inbox.probe(world_source, tag, self.context_id)

@@ -1,16 +1,21 @@
-"""Batched gather/scatter over whole run lists.
+"""Multi-run gather/scatter: the per-run loop and the whole-plan table.
 
-The scalar tier moves a :class:`~repro.mpi.datatypes.plan.TransferPlan`
-one run at a time — a Python loop whose per-iteration work can be a
-single cache line for layouts that flatten to many small runs (struct
-types, replicated mixed-length blocks).  The batch table collapses the
-*entire* run list into flat offset/length/destination arrays once, then
-moves all blocks of each distinct length with one fancy-indexing
-expression per class — the same per-length-class trick
-:class:`~repro.mpi.datatypes.runs.IrregularRuns` already plays, lifted
-from one run to the whole plan.
+A :class:`~repro.mpi.datatypes.plan.TransferPlan` with several runs
+moves its bytes one of two ways, chosen by run count alone
+(:data:`~repro.mpi.datatypes.plan.BATCH_RUN_CUTOFF`):
 
-Byte-identity with the scalar loop is structural: both paths write each
+* :func:`gather_runs` / :func:`scatter_runs` — a Python loop over the
+  runs, each moving its blocks with its own vectorized numpy copy.
+  Cheapest when there are few runs.
+* :class:`BatchTable` — the *entire* run list collapsed once into flat
+  offset/length/destination arrays, then moved with one fancy-indexing
+  expression per distinct block length — the same per-length-class
+  trick :class:`~repro.mpi.datatypes.runs.IrregularRuns` already plays,
+  lifted from one run to the whole plan.  Wins once the per-run loop's
+  interpreter overhead dominates (many small runs: struct types,
+  replicated mixed-length blocks).
+
+Byte-identity between the two is structural: both write each
 destination byte exactly once from the same source byte (runs are
 non-overlapping), so write order cannot matter.  The differential suite
 asserts it anyway, across every datatype constructor.
@@ -18,22 +23,38 @@ asserts it anyway, across every datatype constructor.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..mpi.datatypes.runs import Run
+from .runs import ContigRun, Run, StridedRuns
 
-__all__ = ["BatchTable", "batch_table_for"]
+__all__ = ["BatchTable", "gather_runs", "scatter_runs"]
 
 
-def _expand(runs: Sequence["Run"]) -> tuple[np.ndarray, np.ndarray]:
+def gather_runs(runs: Sequence[Run], src: np.ndarray, dst: np.ndarray,
+                dst_offset: int) -> int:
+    """Move every run out of ``src`` into contiguous ``dst`` at
+    ``dst_offset``, one run at a time; returns bytes written."""
+    written = dst_offset
+    for run in runs:
+        written += run.gather(src, dst, written)
+    return written - dst_offset
+
+
+def scatter_runs(runs: Sequence[Run], src: np.ndarray, src_offset: int,
+                 dst: np.ndarray) -> int:
+    """Inverse of :func:`gather_runs`; returns bytes consumed."""
+    consumed = src_offset
+    for run in runs:
+        consumed += run.scatter(src, consumed, dst)
+    return consumed - src_offset
+
+
+def _expand(runs: Sequence[Run]) -> tuple[np.ndarray, np.ndarray]:
     """Flatten a run list to (offsets, lengths) int64 arrays in pack
     order — the same expansion :func:`~repro.mpi.datatypes.runs.replicate`
     uses for its vectorized fold."""
-    from ..mpi.datatypes.runs import ContigRun, StridedRuns
-
     offsets_parts: list[np.ndarray] = []
     lengths_parts: list[np.ndarray] = []
     for run in runs:
@@ -58,20 +79,20 @@ class BatchTable:
     """The whole-plan block table: every (src offset, length, pack
     offset) triple of a run list, grouped by distinct block length.
 
-    Built once per plan (lazily, on the first batched transfer) and
+    Built once per plan (lazily, on the first large-plan transfer) and
     reused for every subsequent gather/scatter of that plan — the
     compile-once discipline of the plan cache, extended to the index
-    arrays the batched kernels consume.
+    arrays.
     """
 
     __slots__ = ("nblocks", "total_bytes", "_classes")
 
-    def __init__(self, runs: Sequence["Run"]):
+    def __init__(self, runs: Sequence[Run]):
         offsets, lengths = _expand(runs)
         self.nblocks = int(offsets.size)
         self.total_bytes = int(lengths.sum()) if lengths.size else 0
         # Pack-buffer offset of each block: exclusive prefix sum over
-        # the pack order (identical to the scalar loop's running total).
+        # the pack order (identical to the per-run loop's running total).
         dst = np.concatenate(([0], np.cumsum(lengths[:-1]))) if lengths.size else lengths
         classes: list[tuple[int, np.ndarray, np.ndarray]] = []
         for length in np.unique(lengths):
@@ -84,10 +105,6 @@ class BatchTable:
             f"BatchTable(blocks={self.nblocks}, bytes={self.total_bytes}, "
             f"classes={len(self._classes)})"
         )
-
-    @property
-    def nclasses(self) -> int:
-        return len(self._classes)
 
     def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
         """Move every block out of ``src`` into contiguous ``dst`` at
@@ -109,9 +126,3 @@ class BatchTable:
                 span = np.arange(length, dtype=np.int64)
                 dst[offs[:, None] + span] = src[(dsts + src_offset)[:, None] + span]
         return self.total_bytes
-
-
-def batch_table_for(runs: Sequence["Run"]) -> BatchTable:
-    """Compile a run list into a :class:`BatchTable` (plans memoize the
-    result; call sites that move a list once can use it directly)."""
-    return BatchTable(runs)

@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ...kernels import batch_table_for, scalar_mode
 from ...machine.access import AccessPattern, contiguous_pattern
 from ...obs import host as _host
 from ..errors import DatatypeError, PackError
+from .batch import BatchTable, gather_runs, scatter_runs
 from .runs import Run, combine_patterns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +56,7 @@ __all__ = [
 #: batch table's fixed setup/indexing cost is amortized over runs, not
 #: bytes, so at few runs the loop's handful of vectorized strided
 #: copies wins (measured ~2.5x at 4 runs; crossover near 16; the table
-#: is ~100x faster by 4096 runs).  Both tiers are bit-identical, so the
+#: is ~100x faster by 4096 runs).  Both paths are byte-identical, so the
 #: cutoff affects wall-clock only.
 BATCH_RUN_CUTOFF = 16
 
@@ -120,8 +120,8 @@ class TransferPlan:
         #: Cache hits served by this plan (0 on a cold compile) — the
         #: span attribute that records plan reuse.
         self.reuses = 0
-        #: Lazily compiled whole-plan block table for the batched
-        #: gather/scatter kernel (multi-run plans only).
+        #: Lazily compiled whole-plan block table (plans with at least
+        #: ``BATCH_RUN_CUTOFF`` runs only).
         self._batch = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -161,56 +161,49 @@ class TransferPlan:
     # ------------------------------------------------------------------
     # Byte movement
     # ------------------------------------------------------------------
-    def _batch_table(self):
+    def _batch_table(self) -> BatchTable:
         """The compiled whole-plan block table (built once, reused for
-        every batched transfer of this plan)."""
+        every large-plan transfer of this plan)."""
         batch = self._batch
         if batch is None:
-            batch = self._batch = batch_table_for(self.runs)
+            batch = self._batch = BatchTable(self.runs)
         return batch
+
+    def _path(self) -> str:
+        """Which mover this plan's run count selects, counted per call
+        under ``kernel.gather.*`` / ``kernel.scatter.*`` host metrics."""
+        nruns = len(self.runs)
+        if nruns == 1:
+            return "single_run"
+        return "batched" if nruns >= BATCH_RUN_CUTOFF else "scalar"
 
     def gather(self, src_b: np.ndarray, dst_b: np.ndarray, dst_offset: int = 0) -> int:
         """Move this layout out of ``src_b`` into contiguous ``dst_b``
         (both flat uint8); returns bytes written.
 
         Single-run plans (the common case after coalescing) go straight
-        to the run's own vectorized movement; multi-run plans with at
-        least :data:`BATCH_RUN_CUTOFF` runs use the batched whole-plan
-        kernel, and smaller ones keep the per-run loop (which also
-        serves as the ``REPRO_SCALAR_KERNELS`` fallback).
+        to the run's own vectorized movement; plans with at least
+        :data:`BATCH_RUN_CUTOFF` runs use the compiled
+        :class:`~.batch.BatchTable`, and smaller ones the per-run loop.
         """
-        runs = self.runs
-        if len(runs) == 1:
-            if _host.active is not None:
-                _host.active.metrics.counter("kernel.gather.single_run").inc()
-            return runs[0].gather(src_b, dst_b, dst_offset)
-        if scalar_mode() or len(runs) < BATCH_RUN_CUTOFF:
-            if _host.active is not None:
-                _host.active.metrics.counter("kernel.gather.scalar").inc()
-            written = dst_offset
-            for run in runs:
-                written += run.gather(src_b, dst_b, written)
-            return written - dst_offset
+        path = self._path()
         if _host.active is not None:
-            _host.active.metrics.counter("kernel.gather.batched").inc()
+            _host.active.metrics.counter(f"kernel.gather.{path}").inc()
+        if path == "single_run":
+            return self.runs[0].gather(src_b, dst_b, dst_offset)
+        if path == "scalar":
+            return gather_runs(self.runs, src_b, dst_b, dst_offset)
         return self._batch_table().gather(src_b, dst_b, dst_offset)
 
     def scatter(self, src_b: np.ndarray, src_offset: int, dst_b: np.ndarray) -> int:
         """Inverse of :meth:`gather`; returns bytes consumed."""
-        runs = self.runs
-        if len(runs) == 1:
-            if _host.active is not None:
-                _host.active.metrics.counter("kernel.scatter.single_run").inc()
-            return runs[0].scatter(src_b, src_offset, dst_b)
-        if scalar_mode() or len(runs) < BATCH_RUN_CUTOFF:
-            if _host.active is not None:
-                _host.active.metrics.counter("kernel.scatter.scalar").inc()
-            consumed = src_offset
-            for run in runs:
-                consumed += run.scatter(src_b, consumed, dst_b)
-            return consumed - src_offset
+        path = self._path()
         if _host.active is not None:
-            _host.active.metrics.counter("kernel.scatter.batched").inc()
+            _host.active.metrics.counter(f"kernel.scatter.{path}").inc()
+        if path == "single_run":
+            return self.runs[0].scatter(src_b, src_offset, dst_b)
+        if path == "scalar":
+            return scatter_runs(self.runs, src_b, src_offset, dst_b)
         return self._batch_table().scatter(src_b, src_offset, dst_b)
 
     def pack_into(self, src: np.ndarray, dst: np.ndarray, dst_offset: int = 0) -> int:

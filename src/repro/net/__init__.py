@@ -9,7 +9,7 @@ topology is the degenerate case that bypasses everything and reproduces
 the closed-form model bit for bit.
 """
 
-from .flows import LINK_UTIL_EVENT, Flow, FlowEngine, max_min_rates, max_min_rates_scalar
+from .flows import LINK_UTIL_EVENT, Flow, FlowEngine, max_min_rates
 from .routing import Router
 from .transport import NetworkTransport, ShmTransport, Transport, transport_for_pair
 from .topology import (
@@ -27,7 +27,6 @@ __all__ = [
     "FlowEngine",
     "LINK_UTIL_EVENT",
     "max_min_rates",
-    "max_min_rates_scalar",
     "NetworkTransport",
     "Router",
     "ShmTransport",

@@ -27,8 +27,8 @@ the registry entry.  Registered gates:
     64-rank halo whose wall-clock with the shm transport stays within
     noise of the pre-refactor fabric path.
 ``kernel-speedup``
-    The batched kernel tiers (gather/scatter, flow re-solve) must keep
-    beating the scalar tiers, bit-identically.
+    The whole-plan ``BatchTable`` gather/scatter must keep beating the
+    per-run loop on a many-run plan, byte-identically.
 ``serve-throughput``
     The sweep daemon under concurrent load: N clients submitting
     colliding grids must hit the in-flight dedup / result-store path
@@ -42,7 +42,6 @@ Option keys are namespaced by gate (``exec.min_cache_speedup``,
 from __future__ import annotations
 
 import json
-import random
 import shutil
 import subprocess
 import sys
@@ -715,9 +714,9 @@ register(
 # ======================================================================
 # kernel-speedup
 # ======================================================================
-def _kernel_plan(n_runs: int):
-    from ..mpi.datatypes.plan import TransferPlan
-    from ..mpi.datatypes.runs import ContigRun, combine_patterns
+def _kernel_runs(n_runs: int) -> list:
+    """``n_runs`` contiguous runs of alternating 7/13-byte lengths."""
+    from ..mpi.datatypes.runs import ContigRun
 
     run_lengths, run_gap = (7, 13), 3
     runs = []
@@ -726,33 +725,13 @@ def _kernel_plan(n_runs: int):
         length = run_lengths[i % len(run_lengths)]
         runs.append(ContigRun(offset, length))
         offset += length + run_gap
-    return TransferPlan(
-        "bench-mixed-runs",
-        1,
-        sum(r.length for r in runs),
-        runs,
-        combine_patterns(runs),
-    )
-
-
-def _kernel_flow_problem():
-    n_flows, n_links, route_hops, seed = 256, 128, (4, 10), 20260808
-    rng = random.Random(seed)
-    routes = []
-    for _ in range(n_flows):
-        hops = rng.randint(*route_hops)
-        routes.append(tuple(rng.sample(range(n_links), hops)))
-    demands = [rng.uniform(0.5, 5.0) for _ in range(n_flows)]
-    capacities = [rng.uniform(1.0, 20.0) for _ in range(n_links)]
-    return routes, demands, capacities
+    return runs
 
 
 def _kernel_measure(ctx: GateContext) -> dict[str, float]:
     import numpy as np
 
-    from ..kernels import forced_scalar
-    from ..kernels.flows import max_min_rates_batched
-    from ..net.flows import max_min_rates_scalar
+    from ..mpi.datatypes.batch import BatchTable, gather_runs, scatter_runs
 
     inner = ctx.opt_int("kernels.inner_repeats", 7) or 7
     n_runs = ctx.opt_int("kernels.n_runs", 4096) or 4096
@@ -765,38 +744,28 @@ def _kernel_measure(ctx: GateContext) -> dict[str, float]:
             t_best = min(t_best, time.perf_counter() - t0)
         return t_best
 
-    # -- gather/scatter leg ------------------------------------------
-    plan = _kernel_plan(n_runs)
-    src = np.arange(plan.max_end, dtype=np.int64).view(np.uint8)[: plan.max_end].copy()
-    packed_scalar = np.zeros(plan.nbytes, dtype=np.uint8)
-    packed_batched = np.zeros(plan.nbytes, dtype=np.uint8)
-    unpacked_scalar = np.zeros(plan.max_end, dtype=np.uint8)
-    unpacked_batched = np.zeros(plan.max_end, dtype=np.uint8)
+    runs = _kernel_runs(n_runs)
+    table = BatchTable(runs)
+    span = runs[-1].max_end
+    src = np.arange(span, dtype=np.int64).view(np.uint8)[:span].copy()
+    packed_loop = np.zeros(table.total_bytes, dtype=np.uint8)
+    packed_table = np.zeros(table.total_bytes, dtype=np.uint8)
+    unpacked_loop = np.zeros(span, dtype=np.uint8)
+    unpacked_table = np.zeros(span, dtype=np.uint8)
 
-    # Warm both tiers (the batch table compiles once, like a plan) and
-    # check bit-identity on the side.
-    with forced_scalar():
-        plan.gather(src, packed_scalar)
-        plan.scatter(packed_scalar, 0, unpacked_scalar)
-    plan.gather(src, packed_batched)
-    plan.scatter(packed_batched, 0, unpacked_batched)
-    bytes_identical = np.array_equal(packed_scalar, packed_batched) and np.array_equal(
-        unpacked_scalar, unpacked_batched
+    # Warm both paths and check byte-identity on the side.
+    gather_runs(runs, src, packed_loop, 0)
+    scatter_runs(runs, packed_loop, 0, unpacked_loop)
+    table.gather(src, packed_table, 0)
+    table.scatter(packed_table, 0, unpacked_table)
+    bytes_identical = np.array_equal(packed_loop, packed_table) and np.array_equal(
+        unpacked_loop, unpacked_table
     )
 
-    with forced_scalar():
-        t_gather_scalar = best(lambda: plan.gather(src, packed_scalar))
-        t_scatter_scalar = best(lambda: plan.scatter(packed_scalar, 0, unpacked_scalar))
-    t_gather_batched = best(lambda: plan.gather(src, packed_batched))
-    t_scatter_batched = best(lambda: plan.scatter(packed_batched, 0, unpacked_batched))
-
-    # -- flow re-solve leg -------------------------------------------
-    routes, demands, capacities = _kernel_flow_problem()
-    rates_identical = max_min_rates_scalar(
-        routes, demands, capacities
-    ) == max_min_rates_batched(routes, demands, capacities)
-    t_resolve_scalar = best(lambda: max_min_rates_scalar(routes, demands, capacities))
-    t_resolve_batched = best(lambda: max_min_rates_batched(routes, demands, capacities))
+    t_gather_scalar = best(lambda: gather_runs(runs, src, packed_loop, 0))
+    t_scatter_scalar = best(lambda: scatter_runs(runs, packed_loop, 0, unpacked_loop))
+    t_gather_batched = best(lambda: table.gather(src, packed_table, 0))
+    t_scatter_batched = best(lambda: table.scatter(packed_table, 0, unpacked_table))
 
     return {
         "gather_scalar_us": t_gather_scalar * 1e6,
@@ -805,23 +774,20 @@ def _kernel_measure(ctx: GateContext) -> dict[str, float]:
         "scatter_batched_us": t_scatter_batched * 1e6,
         "gather_speedup": t_gather_scalar / t_gather_batched,
         "scatter_speedup": t_scatter_scalar / t_scatter_batched,
-        "resolve_scalar_us": t_resolve_scalar * 1e6,
-        "resolve_batched_us": t_resolve_batched * 1e6,
-        "resolve_speedup": t_resolve_scalar / t_resolve_batched,
-        "tiers_identical": 1.0 if (bytes_identical and rates_identical) else 0.0,
+        "tiers_identical": 1.0 if bytes_identical else 0.0,
     }
 
 
 register(
     GateSpec(
         name="kernel-speedup",
-        title="batched kernel tiers keep beating scalar, bit-identically",
+        title="BatchTable gather/scatter keeps beating the per-run loop, byte-identically",
         ns="kernels",
         measure=_kernel_measure,
         default_repeats=1,
         describe=lambda ctx: {
             "workload": f"{ctx.opt_int('kernels.n_runs', 4096)} contiguous runs "
-            "(gather/scatter) and a 256-flow/128-link re-solve, seed 20260808"
+            "(gather/scatter)"
         },
         checks=(
             GateCheck(
@@ -844,13 +810,6 @@ register(
                 op=">=",
                 threshold_option="kernels.min_gather_speedup",
                 default_threshold=2.0,
-            ),
-            GateCheck(
-                name="flow-resolve",
-                metric="resolve_speedup",
-                op=">=",
-                threshold_option="kernels.min_flow_speedup",
-                default_threshold=1.0,
             ),
         ),
     )
@@ -1062,15 +1021,12 @@ def exec_bench_record(result, *, cpus: int | None = None) -> dict:
     cache = checks.get("cache", {})
     host_cpus = cpus if cpus is not None else extra.get("cpus", 0)
 
-    from ..kernels import kernel_mode
-
     record: dict[str, Any] = {
         "workload": extra.get("workload", ""),
         "platform": extra.get("platform", "skx-impi"),
         "cpus": host_cpus,
         "jobs": extra.get("jobs", 2),
         "chunk_size": extra.get("chunk_size") or "auto",
-        "kernel": kernel_mode(),
         "serial_seconds": round(metrics["serial_seconds"], 4),
         "cold_cache_seconds": round(metrics["cold_cache_seconds"], 4),
         "warm_cache_seconds": round(metrics["warm_cache_seconds"], 4),

@@ -60,23 +60,3 @@ def test_cold_and_warm_plan_cache_bit_identical(key: str):
     assert cold.time.hex() == warm.time.hex()
     assert cold.virtual_time.hex() == warm.virtual_time.hex()
     assert cold.events == warm.events
-
-
-@pytest.mark.parametrize("lname", sorted(LAYOUTS))
-@pytest.mark.parametrize("platform", PLATFORMS)
-def test_times_bit_identical_under_scalar_kernels(platform: str, lname: str):
-    """The REPRO_SCALAR_KERNELS escape hatch is not allowed to move any
-    golden cell either: batched and scalar tiers price identically."""
-    from repro.kernels import forced_scalar
-
-    layout = StridedLayout(**LAYOUTS[lname])
-    with forced_scalar():
-        for key in PAPER_ORDER:
-            cell = run_cell(key, layout, platform)
-            want = GOLDEN[f"{platform}/{lname}/{key}"]
-            got = {
-                "time": cell.time.hex(),
-                "virtual_time": cell.virtual_time.hex(),
-                "events": cell.events,
-            }
-            assert got == want, f"{platform}/{lname}/{key} (scalar tier)"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.timing import TimingPolicy, TimingStats, summarize
 
+from ..oracles import summarize_oracle
+
 
 class TestTimingPolicy:
     def test_paper_defaults(self):
@@ -84,9 +86,9 @@ class TestSummarize:
 
 
 class TestScalarBatchedDifferential:
-    """``summarize`` dispatches to a vectorized twin; every statistic
-    it reports must be *exactly* what the scalar loop computes (the
-    batched sums accumulate in the same left-to-right order)."""
+    """Every statistic ``summarize`` reports must be *exactly* what the
+    vectorized oracle in ``tests/oracles.py`` computes (its sums
+    accumulate in the same left-to-right order)."""
 
     @given(
         times=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=50),
@@ -94,22 +96,16 @@ class TestScalarBatchedDifferential:
     )
     @settings(max_examples=200, deadline=None)
     def test_all_fields_exactly_equal(self, times, sigma):
-        from repro.kernels import forced_scalar
-
-        batched = summarize(times, dismiss_sigma=sigma)
-        with forced_scalar():
-            scalar = summarize(times, dismiss_sigma=sigma)
-        assert batched == scalar  # TimingStats equality: float ==
-        assert batched.mean.hex() == scalar.mean.hex()
-        assert batched.std.hex() == scalar.std.hex()
-        assert batched.kept_mean.hex() == scalar.kept_mean.hex()
+        stats = summarize(times, dismiss_sigma=sigma)
+        mean, std, kept_mean, dismissed, minimum, maximum = summarize_oracle(times, sigma)
+        assert stats.mean.hex() == mean.hex()
+        assert stats.std.hex() == std.hex()
+        assert stats.kept_mean.hex() == kept_mean.hex()
+        assert (stats.dismissed, stats.minimum, stats.maximum) == (dismissed, minimum, maximum)
 
     def test_outlier_dismissal_identical(self):
-        from repro.kernels import forced_scalar
-
         times = [1.0] * 19 + [100.0]
-        batched = summarize(times, dismiss_sigma=1.0)
-        with forced_scalar():
-            scalar = summarize(times, dismiss_sigma=1.0)
-        assert batched.dismissed == scalar.dismissed == 1
-        assert batched.kept_mean.hex() == scalar.kept_mean.hex()
+        stats = summarize(times, dismiss_sigma=1.0)
+        _, _, kept_mean, dismissed, _, _ = summarize_oracle(times, 1.0)
+        assert stats.dismissed == dismissed == 1
+        assert stats.kept_mean.hex() == kept_mean.hex()

@@ -250,7 +250,6 @@ QUICK_KERNEL_GATE = [
     "--option", "kernels.inner_repeats=1",
     "--option", "kernels.n_runs=64",
     "--option", "kernels.min_gather_speedup=0.0001",
-    "--option", "kernels.min_flow_speedup=0.0001",
 ]
 
 

@@ -1,28 +1,23 @@
-"""Differential suite for the batch-kernel layer (``repro.kernels``).
+"""Differential suite for multi-run gather/scatter.
 
-The batched gather/scatter kernel must be *byte-identical* to the
-original per-run scalar loop on every plan the datatype constructors
-can produce — same packed bytes, same unpacked buffer, same return
-values, at every destination offset.  The scalar tier is reached
-through the real dispatch sites under :func:`forced_scalar`, so this
-exercises exactly the code path ``REPRO_SCALAR_KERNELS=1`` selects.
+The whole-plan :class:`BatchTable` must be *byte-identical* to the
+per-run loop (:func:`gather_runs` / :func:`scatter_runs`) on every plan
+the datatype constructors can produce — same packed bytes, same
+unpacked buffer, same return values, at every destination offset —
+whichever of the two a plan's run count selects in production.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import BatchTable, batch_table_for, forced_scalar, scalar_mode
 from repro.mpi.datatypes import Datatype, compile_plan
+from repro.mpi.datatypes.batch import BatchTable, gather_runs, scatter_runs
 from repro.mpi.datatypes.runs import ContigRun, IrregularRuns, StridedRuns
 
 from .ir.strategies import COUNTS, DERIVED
-
-_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _filled(nbytes: int) -> np.ndarray:
@@ -42,21 +37,21 @@ def test_gather_scatter_bit_identical_across_tiers(
         span = max(plan.max_end, 1)
         src = _filled(span)
 
-        # Gather into an offset destination, both tiers.
+        table = BatchTable(plan.runs)
+
+        # Gather into an offset destination, both paths.
         packed_s = np.zeros(plan.nbytes + dst_offset, dtype=np.uint8)
         packed_b = np.zeros_like(packed_s)
-        with forced_scalar():
-            n_s = plan.gather(src, packed_s, dst_offset)
-        n_b = plan.gather(src, packed_b, dst_offset)
+        n_s = gather_runs(plan.runs, src, packed_s, dst_offset)
+        n_b = table.gather(src, packed_b, dst_offset)
         assert n_s == n_b == plan.nbytes
         assert np.array_equal(packed_s, packed_b)
 
-        # Scatter back from the same offset, both tiers.
+        # Scatter back from the same offset, both paths.
         back_s = np.zeros(span, dtype=np.uint8)
         back_b = np.zeros(span, dtype=np.uint8)
-        with forced_scalar():
-            m_s = plan.scatter(packed_s, dst_offset, back_s)
-        m_b = plan.scatter(packed_b, dst_offset, back_b)
+        m_s = scatter_runs(plan.runs, packed_s, dst_offset, back_s)
+        m_b = table.scatter(packed_b, dst_offset, back_b)
         assert m_s == m_b == plan.nbytes
         assert np.array_equal(back_s, back_b)
     finally:
@@ -68,27 +63,33 @@ def test_gather_scatter_bit_identical_across_tiers(
 def test_checked_pack_unpack_bit_identical_across_tiers(
     dtype: Datatype, count: int
 ):
-    """Same property through the checked engine entry points
-    (``pack_into``/``unpack_from``), which is what comm paths call."""
+    """The checked engine entry points (``pack_into``/``unpack_from``),
+    which is what comm paths call, move exactly the bytes of both
+    multi-run paths, whichever one the plan's run count selects."""
     dtype.commit()
     try:
         plan = compile_plan(dtype, count)
         span = max(plan.max_end, 1)
         src = _filled(span)
+        table = BatchTable(plan.runs)
 
-        packed_s = np.zeros(plan.nbytes, dtype=np.uint8)
-        packed_b = np.zeros_like(packed_s)
-        with forced_scalar():
-            plan.pack_into(src, packed_s)
-        plan.pack_into(src, packed_b)
-        assert np.array_equal(packed_s, packed_b)
+        packed = np.zeros(plan.nbytes, dtype=np.uint8)
+        packed_s = np.zeros_like(packed)
+        packed_b = np.zeros_like(packed)
+        plan.pack_into(src, packed)
+        gather_runs(plan.runs, src, packed_s, 0)
+        table.gather(src, packed_b, 0)
+        assert np.array_equal(packed, packed_s)
+        assert np.array_equal(packed, packed_b)
 
+        back = np.zeros(span, dtype=np.uint8)
         back_s = np.zeros(span, dtype=np.uint8)
         back_b = np.zeros(span, dtype=np.uint8)
-        with forced_scalar():
-            plan.unpack_from(packed_s, 0, back_s)
-        plan.unpack_from(packed_b, 0, back_b)
-        assert np.array_equal(back_s, back_b)
+        plan.unpack_from(packed, 0, back)
+        scatter_runs(plan.runs, packed, 0, back_s)
+        table.scatter(packed, 0, back_b)
+        assert np.array_equal(back, back_s)
+        assert np.array_equal(back, back_b)
     finally:
         dtype.free()
 
@@ -104,75 +105,30 @@ class TestBatchTable:
     ]
 
     def test_table_shape(self):
-        table = batch_table_for(self.RUNS)
-        assert isinstance(table, BatchTable)
+        table = BatchTable(self.RUNS)
         assert table.nblocks == 1 + 3 + 3 + 1
         assert table.total_bytes == sum(r.total_bytes for r in self.RUNS)
 
     def test_matches_scalar_run_loop(self):
-        table = batch_table_for(self.RUNS)
+        table = BatchTable(self.RUNS)
         span = max(r.max_end for r in self.RUNS)
         src = _filled(span)
 
         ref = np.zeros(table.total_bytes + 5, dtype=np.uint8)
-        written = 5
-        for run in self.RUNS:
-            written += run.gather(src, ref, written)
+        assert gather_runs(self.RUNS, src, ref, 5) == table.total_bytes
         got = np.zeros_like(ref)
         assert table.gather(src, got, 5) == table.total_bytes
         assert np.array_equal(got, ref)
 
         ref_back = np.zeros(span, dtype=np.uint8)
-        consumed = 5
-        for run in self.RUNS:
-            consumed += run.scatter(ref, consumed, ref_back)
+        assert scatter_runs(self.RUNS, ref, 5, ref_back) == table.total_bytes
         got_back = np.zeros(span, dtype=np.uint8)
         assert table.scatter(got, 5, got_back) == table.total_bytes
         assert np.array_equal(got_back, ref_back)
 
     def test_empty_run_list(self):
-        table = batch_table_for([])
+        table = BatchTable([])
         assert table.nblocks == 0 and table.total_bytes == 0
         buf = np.zeros(4, dtype=np.uint8)
         assert table.gather(buf, buf, 0) == 0
         assert table.scatter(buf, 0, buf) == 0
-
-
-class TestModeMachinery:
-    def test_forced_scalar_nests_and_restores(self):
-        assert not scalar_mode()
-        with forced_scalar():
-            assert scalar_mode()
-            with forced_scalar(False):
-                assert not scalar_mode()
-            assert scalar_mode()
-        assert not scalar_mode()
-
-    def test_forced_scalar_restores_on_error(self):
-        try:
-            with forced_scalar():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert not scalar_mode()
-
-    def test_env_var_selects_scalar_tier(self):
-        """A fresh interpreter with REPRO_SCALAR_KERNELS=1 must come up
-        in scalar mode — the escape hatch users actually reach for."""
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.kernels import kernel_mode, scalar_mode; "
-            "assert scalar_mode(); print(kernel_mode())"
-        )
-        env = dict(os.environ, REPRO_SCALAR_KERNELS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(_SRC), env.get("PYTHONPATH", "")])
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "scalar"

@@ -228,6 +228,33 @@ class TestErrors:
             run_mpi(main, 2, ideal)
 
 
+class TestTagValidation:
+    """Sends need ``tag >= 0``; receives and probes also accept
+    ``ANY_TAG`` but nothing below it (MPI_ERR_TAG)."""
+
+    @pytest.mark.parametrize("tag", [-7, ANY_TAG])
+    @pytest.mark.parametrize("call", ["Send", "Isend", "Ssend", "Bsend", "Send_init"])
+    def test_send_side_rejects_negative_tags(self, ideal, call, tag):
+        def main(comm):
+            if comm.rank == 0:
+                getattr(comm, call)(np.zeros(1), dest=1, tag=tag)
+
+        with pytest.raises(CommunicatorError, match=f"tag {tag} below 0"):
+            run_mpi(main, 2, ideal)
+
+    @pytest.mark.parametrize("call", ["Recv", "Irecv", "Recv_init", "Probe", "Iprobe"])
+    def test_receive_side_rejects_tags_below_any_tag(self, ideal, call):
+        def main(comm):
+            if comm.rank == 1:
+                if call in ("Probe", "Iprobe"):
+                    getattr(comm, call)(source=0, tag=-2)
+                else:
+                    getattr(comm, call)(np.zeros(1), source=0, tag=-2)
+
+        with pytest.raises(CommunicatorError, match=f"tag -2 below {ANY_TAG}"):
+            run_mpi(main, 2, ideal)
+
+
 class TestWildcardsAndProbe:
     def test_any_source_any_tag(self, ideal, doubles):
         def main(comm):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import forced_scalar, max_min_rates_batched
-from repro.net import FlowEngine, fat_tree, max_min_rates, max_min_rates_scalar
+from repro.net import FlowEngine, fat_tree, max_min_rates
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Kernel
+
+from ..oracles import max_min_rates_oracle
 
 
 # ----------------------------------------------------------------------
@@ -118,35 +119,16 @@ class TestMaxMinProperties:
 
 
 class TestScalarBatchedDifferential:
-    """The vectorized solver is *exactly* equal to the scalar one — not
-    approximately: both run the same IEEE-754 operations in the same
-    rounds, so virtual time cannot depend on which tier solved."""
+    """The solver is *exactly* equal to the vectorized oracle in
+    ``tests/oracles.py`` — not approximately: both run the same
+    IEEE-754 operations in the same filling rounds."""
 
     @given(_allocation_problems())
     @settings(max_examples=200, deadline=None)
     def test_rates_exactly_equal(self, problem):
         routes, demands, capacities = problem
-        scalar = max_min_rates_scalar(routes, demands, capacities)
-        batched = max_min_rates_batched(routes, demands, capacities)
-        assert scalar == batched  # float ==, no tolerance
-
-    @given(_allocation_problems())
-    @settings(max_examples=50, deadline=None)
-    def test_dispatch_selects_the_forced_tier(self, problem):
-        routes, demands, capacities = problem
-        batched = max_min_rates(routes, demands, capacities)
-        with forced_scalar():
-            scalar = max_min_rates(routes, demands, capacities)
-        assert scalar == batched
-
-    def test_saturation_epsilons_agree(self):
-        # The two tiers share one saturation threshold by value; if one
-        # module's epsilon drifts, identical rounding is no longer
-        # guaranteed and the differential above becomes flaky.
-        import repro.kernels.flows as kflows
-        import repro.net.flows as nflows
-
-        assert kflows._EPS_REL == nflows._EPS_REL
+        rates = max_min_rates(routes, demands, capacities)
+        assert rates == max_min_rates_oracle(routes, demands, capacities)  # float ==
 
     @pytest.mark.parametrize(
         "routes,demands,capacities",
@@ -157,11 +139,11 @@ class TestScalarBatchedDifferential:
         ],
     )
     def test_batched_validation_matches_scalar(self, routes, demands, capacities):
-        with pytest.raises(ValueError) as scalar_err:
-            max_min_rates_scalar(routes, demands, capacities)
-        with pytest.raises(ValueError) as batched_err:
-            max_min_rates_batched(routes, demands, capacities)
-        assert str(batched_err.value) == str(scalar_err.value)
+        with pytest.raises(ValueError) as product_err:
+            max_min_rates(routes, demands, capacities)
+        with pytest.raises(ValueError) as oracle_err:
+            max_min_rates_oracle(routes, demands, capacities)
+        assert str(oracle_err.value) == str(product_err.value)
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +155,25 @@ def _engine(network, topo, metrics=None):
 
 
 class TestFlowEngine:
+    def test_engine_calls_the_module_level_solver(self, ideal, monkeypatch):
+        # FlowEngine must look the solver up by its module name on every
+        # re-solve, so wrapping ``repro.net.flows.max_min_rates`` (as the
+        # benchmark's traced run does) sees every solve.
+        import repro.net.flows as nflows
+
+        calls: list[int] = []
+
+        def counting(routes, demands, capacities):
+            calls.append(len(routes))
+            return max_min_rates(routes, demands, capacities)
+
+        monkeypatch.setattr(nflows, "max_min_rates", counting)
+        kernel, engine = _engine(ideal.network, fat_tree(4, nodes_per_leaf=2))
+        engine.start_flow(0, 2, 10_000, on_finish=lambda f, t: None)
+        engine.start_flow(1, 3, 10_000, on_finish=lambda f, t: None)
+        kernel.run()
+        assert calls and max(calls) == 2
+
     def test_flat_topology_rejected(self, ideal):
         from repro.net import flat
 

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Guard the batch-kernel layer's wall-clock wins (``repro.kernels``).
+"""Guard the whole-plan ``BatchTable`` gather/scatter's wall-clock win.
 
 Thin shim over the ``kernel-speedup`` entry of the :mod:`repro.perf`
 gate registry (``repro perf gate --gate kernel-speedup``), kept for
 the historical entry point and the ``BENCH_kernels.json`` record it
-maintains.  The measurement body (multi-run gather/scatter and the
-max-min flow re-solve, both tiers, with bit-identity re-checked on the
-side) lives in :mod:`repro.perf.workloads`.
+maintains.  The measurement body (a many-run gather/scatter through
+``BatchTable`` and through the per-run loop, with byte-identity
+re-checked on the side) lives in :mod:`repro.perf.workloads`.
 
 Usage::
 
@@ -29,13 +29,10 @@ from repro.perf import get_gate, run_gate  # noqa: E402
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-gather-speedup", type=float, default=2.0,
-                        help="required scalar/batched ratio for gather AND "
-                             "scatter (default 2.0)")
-    parser.add_argument("--min-flow-speedup", type=float, default=1.0,
-                        help="required scalar/batched ratio for the flow "
-                             "re-solve (default 1.0: never regress)")
+                        help="required per-run-loop/BatchTable ratio for "
+                             "gather AND scatter (default 2.0)")
     parser.add_argument("--repeats", type=int, default=7,
-                        help="timing repetitions per tier; the best is used "
+                        help="timing repetitions per path; the best is used "
                              "inside each sample")
     parser.add_argument("--output", default=str(REPO / "BENCH_kernels.json"),
                         help="where to record the measurement")
@@ -43,7 +40,6 @@ def main(argv: list[str] | None = None) -> int:
 
     options = {
         "kernels.min_gather_speedup": args.min_gather_speedup,
-        "kernels.min_flow_speedup": args.min_flow_speedup,
         "kernels.inner_repeats": args.repeats,
     }
     result, _ = run_gate(get_gate("kernel-speedup"), options)
@@ -62,13 +58,7 @@ def main(argv: list[str] | None = None) -> int:
             "gather_speedup": round(m["gather_speedup"], 2),
             "scatter_speedup": round(m["scatter_speedup"], 2),
         },
-        "flow_resolve": {
-            "resolve_scalar_us": round(m["resolve_scalar_us"], 1),
-            "resolve_batched_us": round(m["resolve_batched_us"], 1),
-            "resolve_speedup": round(m["resolve_speedup"], 2),
-        },
         "gather_gate": {"checked": True, "min": args.min_gather_speedup},
-        "flow_gate": {"checked": True, "min": args.min_flow_speedup},
     }
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n")
 
