@@ -396,6 +396,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         Ledger,
         LedgerEntry,
         all_gates,
+        check_options,
         diff_entries,
         get_gate,
         render_diff,
@@ -421,14 +422,15 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
     # record / gate: run the selected specs.
     options = _parse_options(args.option)
-    if args.all or not args.gates:
-        specs = all_gates()
-    else:
-        try:
+    try:
+        if args.all or not args.gates:
+            specs = all_gates()
+        else:
             specs = [get_gate(name) for name in args.gates]
-        except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        check_options(specs, options)
+    except (LookupError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     results = []
     sections = []
@@ -667,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run every registered gate")
         pp.add_argument("--option", action="append", metavar="KEY=VALUE",
                         help="override a gate option, e.g. "
-                             "exec.min_cache_speedup=5 or kernels.repeats=3")
+                             "exec.min_cache_speedup=5 or kernels.repeats=3 "
+                             "(a key no selected gate reads is an error)")
         pp.add_argument("--ledger-dir", default=None,
                         help="ledger root (default: <cache dir>/perf-ledger)")
         pp.add_argument("--host-trace", metavar="PATH", default=None,

@@ -14,11 +14,14 @@ to its metrics; :func:`run_gate` turns one spec into a
   would have asserted are marked *informational* in the result;
 * **host telemetry** — each gate run happens inside its own
   :func:`repro.obs.host.capturing` block; the snapshot lands in the
-  result (and the full capture is returned for Chrome-trace export).
+  result (and the full capture is returned for Chrome-trace export);
+* **closed option set** — a gate reads ``<ns>.repeats``, the
+  ``option`` of each of its checks and the keys in its ``options``
+  field, nothing else; :func:`check_options` rejects any other key.
 
 Gates self-register into a process-wide registry
 (:func:`register` / :func:`get_gate` / :func:`all_gates`);
-:mod:`repro.perf.workloads` populates it with the five built-ins.
+:mod:`repro.perf.workloads` populates it with the seven built-ins.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "GateResult",
     "GateSpec",
     "all_gates",
+    "check_options",
     "gate_names",
     "get_gate",
     "register",
@@ -69,15 +73,8 @@ class GateContext:
         value = self.options.get(key, default)
         return float(value)
 
-    def opt_int(self, key: str, default: int | None) -> int | None:
-        value = self.options.get(key, default)
-        if value is None or value == "":
-            return None
-        return int(value)
-
-    def opt_str(self, key: str, default: str | None) -> str | None:
-        value = self.options.get(key, default)
-        return None if value is None else str(value)
+    def opt_int(self, key: str, default: int) -> int:
+        return int(self.options.get(key, default))
 
 
 def _find_repo() -> Path:
@@ -97,8 +94,9 @@ class GateCheck:
     name: str
     metric: str
     op: str  #: ``">="`` (defend a win) or ``"<="`` (cap a regression)
-    threshold_option: str  #: Option key holding the limit.
-    default_threshold: float
+    threshold: float
+    #: Option key that may override ``threshold``; ``None`` = fixed.
+    option: str | None = None
     #: Optional predicate: a non-``None`` return is the skip reason.
     skip: Callable[[GateContext], str | None] | None = None
     #: Metrics that become informational when this check is skipped
@@ -161,6 +159,14 @@ class GateSpec:
     teardown: Callable[[GateContext], None] | None = None
     #: Static facts for the record (workload description, ...).
     describe: Callable[[GateContext], dict[str, Any]] | None = None
+    #: Workload-shape option keys ``measure``/``describe`` read.
+    options: tuple[str, ...] = ()
+
+    def option_keys(self) -> frozenset[str]:
+        """Every option key this gate reads."""
+        keys = {f"{self.ns}.repeats", *self.options}
+        keys.update(c.option for c in self.checks if c.option is not None)
+        return frozenset(keys)
 
 
 @dataclass
@@ -251,6 +257,19 @@ def all_gates() -> list[GateSpec]:
     return [_GATES[name] for name in gate_names()]
 
 
+def check_options(specs: list[GateSpec], options: dict[str, Any]) -> None:
+    """Raise ``ValueError`` naming the valid keys if ``options`` holds
+    a key none of ``specs`` reads (a typo, a removed option, or one for
+    a gate that is not selected)."""
+    valid = frozenset().union(*(spec.option_keys() for spec in specs))
+    unknown = sorted(set(options) - valid)
+    if unknown:
+        raise ValueError(
+            f"unknown gate option(s) {', '.join(unknown)} "
+            f"(valid for the selected gates: {', '.join(sorted(valid))})"
+        )
+
+
 # ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
@@ -269,7 +288,7 @@ def run_gate(
     ``--all`` run.
     """
     ctx = GateContext(options)
-    repeats = max(1, ctx.opt_int(f"{spec.ns}.repeats", spec.default_repeats) or 1)
+    repeats = max(1, ctx.opt_int(f"{spec.ns}.repeats", spec.default_repeats))
     telemetry: _host.HostTelemetry | None = None
     samples: list[dict[str, float]] = []
     extra: dict[str, Any] = {}
@@ -296,7 +315,11 @@ def run_gate(
     informational = set(medians)
     for check in spec.checks:
         reason = check.skip(ctx) if check.skip is not None else None
-        threshold = ctx.opt_float(check.threshold_option, check.default_threshold)
+        threshold = (
+            check.threshold
+            if check.option is None
+            else ctx.opt_float(check.option, check.threshold)
+        )
         if error is not None and reason is None:
             reason = "workload errored"
         if reason is not None:

@@ -1,9 +1,7 @@
-"""The built-in regression gates, ported from ``tools/check_*.py``.
+"""The built-in regression gates.
 
-Each legacy script's measurement body lives here as a
-:class:`~.gates.GateSpec`; the scripts themselves remain as thin shims
-that parse their historical flags, map them onto gate options, and run
-the registry entry.  Registered gates:
+Each gate is a :class:`~.gates.GateSpec` run by ``repro perf gate`` /
+``repro perf record``.  Registered gates:
 
 ``tracing-overhead``
     Zero-cost-when-off contract of the flight recorder *and* host
@@ -11,8 +9,9 @@ the registry entry.  Registered gates:
     host-clock reads while disabled) plus a timed comparison against a
     base revision in a git worktree.
 ``plan-speedup``
-    The TransferPlan cache must keep beating the base revision on a
-    repeated pack/send workload.
+    The TransferPlan cache must keep paying for itself: a repeated
+    pack/send workload timed with the cache on against the same body
+    under ``plan_cache_capacity(0)``, in one process.
 ``exec-speedup``
     The exec layer's two wall-clock wins (``--jobs`` parallelism, warm
     result cache) plus byte-identity across all four run modes.  The
@@ -22,10 +21,9 @@ the registry entry.  Registered gates:
     The flat-topology bypass: 64 golden cells bit-identical through a
     cold and a warm store, and the bypass's wall-clock cost bounded.
 ``shm-overhead``
-    The transport refactor's no-regression contract: the same 64
-    golden cells bit-identical cold + warm, plus an all-on-node
-    64-rank halo whose wall-clock with the shm transport stays within
-    noise of the pre-refactor fabric path.
+    The transport refactor's no-regression contract: an all-on-node
+    64-rank halo must ride the shm transport, and its wall-clock must
+    stay within noise of the pre-refactor fabric path.
 ``kernel-speedup``
     The whole-plan ``BatchTable`` gather/scatter must keep beating the
     per-run loop on a many-run plan, byte-identically.
@@ -35,8 +33,10 @@ the registry entry.  Registered gates:
     (hit-rate floor), keep p99 request latency bounded, finish every
     request, and leave the daemon healthy.
 
-Option keys are namespaced by gate (``exec.min_cache_speedup``,
-``tracing.threshold``, ...); every gate honours ``<ns>.repeats``.
+Workload shapes and correctness bounds are constants.  The settable
+options are ``<ns>.repeats`` for every gate, plus the few keys a gate
+lists in its checks' ``option`` or its ``options`` field
+(``exec.min_cache_speedup``, ``kernels.n_runs``, ...).
 """
 
 from __future__ import annotations
@@ -47,23 +47,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any
 
 from .gates import GateCheck, GateContext, GateSpec, register
 
-__all__ = [
-    "STRUCTURAL_CHECK",
-    "TIMING_WORKLOAD_TRACING",
-    "TIMING_WORKLOAD_PLAN",
-    "exec_gate_records",
-    "evaluate_exec_gates",
-    "exec_bench_record",
-]
+__all__ = ["STRUCTURAL_CHECK", "TIMING_WORKLOAD_TRACING"]
 
 
 # ======================================================================
-# Shared subprocess / worktree helpers (the two base-revision gates).
+# Subprocess / worktree helpers (the tracing gate's base revision).
 # ======================================================================
 def _run(cmd: list[str], **kwargs: Any) -> str:
     return subprocess.run(
@@ -93,16 +87,18 @@ def _default_base(repo: Path) -> str:
     return "HEAD~1"
 
 
-def _setup_worktree(ctx: GateContext, ns: str) -> None:
+def _setup_worktree(ctx: GateContext) -> None:
     """Check the base revision out into a temp worktree (one-time)."""
-    base = ctx.opt_str(f"{ns}.base", None) or _default_base(ctx.repo)
-    worktree = Path(tempfile.mkdtemp(prefix=f"{ns}-base-"))
-    _run(["git", "worktree", "add", "--detach", str(worktree), base], cwd=ctx.repo)
+    worktree = Path(tempfile.mkdtemp(prefix="tracing-base-"))
+    _run(
+        ["git", "worktree", "add", "--detach", str(worktree), _default_base(ctx.repo)],
+        cwd=ctx.repo,
+    )
     ctx.scratch["worktree"] = worktree
     ctx.scratch["base_rev"] = _run(["git", "rev-parse", "HEAD"], cwd=worktree)
 
 
-def _teardown_worktree(ctx: GateContext, ns: str) -> None:
+def _teardown_worktree(ctx: GateContext) -> None:
     worktree = ctx.scratch.pop("worktree", None)
     if worktree is None:
         return
@@ -197,7 +193,7 @@ def _tracing_setup(ctx: GateContext) -> None:
         },
     )
     ctx.scratch["structural_ok"] = 1.0 if out.splitlines()[-1] == "structural OK" else 0.0
-    _setup_worktree(ctx, "tracing")
+    _setup_worktree(ctx)
 
 
 def _tracing_measure(ctx: GateContext) -> dict[str, float]:
@@ -221,7 +217,7 @@ register(
         ns="tracing",
         measure=_tracing_measure,
         setup=_tracing_setup,
-        teardown=lambda ctx: _teardown_worktree(ctx, "tracing"),
+        teardown=_teardown_worktree,
         default_repeats=5,
         describe=lambda ctx: {
             "base_rev": ctx.scratch.get("base_rev", "unknown"),
@@ -232,15 +228,13 @@ register(
                 name="structural",
                 metric="structural_ok",
                 op=">=",
-                threshold_option="tracing.min_structural",
-                default_threshold=1.0,
+                threshold=1.0,
             ),
             GateCheck(
                 name="untraced-overhead",
                 metric="overhead",
                 op="<=",
-                threshold_option="tracing.threshold",
-                default_threshold=0.05,
+                threshold=0.05,
             ),
         ),
     )
@@ -250,55 +244,64 @@ register(
 # ======================================================================
 # plan-speedup
 # ======================================================================
-#: The hot loop the plan cache exists for: many calls over one
-#: (datatype, count) pair, where the pre-plan tree re-flattens and
-#: re-summarizes the layout on every call.
-TIMING_WORKLOAD_PLAN = """
-import time
-import numpy as np
-from repro.mpi import DOUBLE, make_vector, run_mpi
-from repro.mpi.datatypes import pack_bytes
+def _plan_workload():
+    """The hot loop the plan cache exists for: many calls over one
+    (datatype, count) pair.  Without the cache every call re-compiles
+    the plan (re-flattens and re-summarizes the layout)."""
+    import numpy as np
 
-NBLOCKS, COUNT, PACK_CALLS, SENDS = 512, 4, 400, 200
-vec = make_vector(NBLOCKS, 1, 2, DOUBLE).commit()
-src = np.arange(2 * NBLOCKS * COUNT, dtype=np.float64)
-dst = np.zeros(NBLOCKS * COUNT, dtype=np.float64)
+    from ..mpi import DOUBLE, make_vector, run_mpi
+    from ..mpi.datatypes import pack_bytes
 
-
-def once():
-    for _ in range(PACK_CALLS):
-        pack_bytes(src, vec, COUNT, dst)
+    nblocks, count, pack_calls, sends = 512, 4, 400, 200
+    vec = make_vector(nblocks, 1, 2, DOUBLE).commit()
+    src = np.arange(2 * nblocks * count, dtype=np.float64)
+    dst = np.zeros(nblocks * count, dtype=np.float64)
 
     def main(comm):
         if comm.rank == 0:
-            for tag in range(SENDS):
-                comm.Send(src, dest=1, tag=tag, count=COUNT, datatype=vec)
+            for tag in range(sends):
+                comm.Send(src, dest=1, tag=tag, count=count, datatype=vec)
         else:
-            buf = np.empty(NBLOCKS * COUNT, dtype=np.float64)
-            for tag in range(SENDS):
+            buf = np.empty(nblocks * count, dtype=np.float64)
+            for tag in range(sends):
                 comm.Recv(buf, source=0, tag=tag)
 
-    run_mpi(main, 2, "skx-impi")
+    def once():
+        for _ in range(pack_calls):
+            pack_bytes(src, vec, count, dst)
+        run_mpi(main, 2, "skx-impi")
+
+    return once
 
 
-once()  # warm-up (imports, platform registry, caches)
-times = []
-for _ in range(5):
-    t0 = time.perf_counter()
-    once()
-    times.append(time.perf_counter() - t0)
-print(min(times))
-"""
+def _plan_best(once, cache_on: bool) -> float:
+    """Best-of-5 wall seconds of ``once`` after one warm-up call, with
+    the shared plan cache at its default bound or disabled."""
+    from ..mpi.datatypes import plan_cache_capacity
+
+    with nullcontext() if cache_on else plan_cache_capacity(0):
+        once()
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            once()
+            times.append(time.perf_counter() - t0)
+    return min(times)
 
 
 def _plan_measure(ctx: GateContext) -> dict[str, float]:
-    worktree: Path = ctx.scratch["worktree"]
-    t_base = _time_snippet(worktree, TIMING_WORKLOAD_PLAN)
-    t_head = _time_snippet(ctx.repo, TIMING_WORKLOAD_PLAN)
+    """One cache-off/cache-on pair; the leg order alternates between
+    repeats so drifting load biases neither side."""
+    once = ctx.scratch.setdefault("plan_once", _plan_workload())
+    pair = ctx.scratch["plan_pairs"] = ctx.scratch.get("plan_pairs", 0) + 1
+    order = (False, True) if pair % 2 else (True, False)
+    seconds = {cache_on: _plan_best(once, cache_on) for cache_on in order}
+    t_off, t_on = seconds[False], seconds[True]
     return {
-        "base_seconds": t_base,
-        "head_seconds": t_head,
-        "speedup": t_base / t_head,
+        "cache_off_seconds": t_off,
+        "cache_on_seconds": t_on,
+        "speedup": t_off / t_on,
     }
 
 
@@ -308,21 +311,18 @@ register(
         title="TransferPlan cache keeps paying for itself",
         ns="plan",
         measure=_plan_measure,
-        setup=lambda ctx: _setup_worktree(ctx, "plan"),
-        teardown=lambda ctx: _teardown_worktree(ctx, "plan"),
         default_repeats=5,
         describe=lambda ctx: {
-            "base_rev": ctx.scratch.get("base_rev", "unknown"),
             "workload": "repeated derived-type pack_bytes + Send over one "
-            "(datatype, count) pair",
+            "(datatype, count) pair, cache off vs on, best of 5 each"
         },
         checks=(
             GateCheck(
                 name="plan-cache-speedup",
                 metric="speedup",
                 op=">=",
-                threshold_option="plan.min_speedup",
-                default_threshold=1.5,
+                threshold=1.5,
+                option="plan.min_speedup",
             ),
         ),
     )
@@ -332,19 +332,20 @@ register(
 # ======================================================================
 # exec-speedup
 # ======================================================================
-def _exec_sizes(ctx: GateContext) -> tuple[int, ...]:
-    raw = ctx.opt_str("exec.sizes", "500000,1000000") or ""
-    return tuple(int(s) for s in raw.split(",") if s)
+#: The exec gate's sweep (every scheme at two sizes on one platform)
+#: and the worker count of its parallel leg.
+EXEC_PLATFORM = "skx-impi"
+EXEC_SIZES = (500_000, 1_000_000)
+EXEC_ITERATIONS = 20
+EXEC_JOBS = 2
 
 
-def _exec_config(ctx: GateContext):
+def _exec_config():
     from ..core import SweepConfig, TimingPolicy
 
     return SweepConfig(
-        sizes=_exec_sizes(ctx),
-        policy=TimingPolicy(
-            iterations=ctx.opt_int("exec.iterations", 20) or 20, flush=True
-        ),
+        sizes=EXEC_SIZES,
+        policy=TimingPolicy(iterations=EXEC_ITERATIONS, flush=True),
     )
 
 
@@ -360,20 +361,17 @@ def _exec_measure(ctx: GateContext) -> dict[str, float]:
     from ..core import run_sweep
     from ..exec import Executor, ResultStore
 
-    config = _exec_config(ctx)
-    platform = ctx.opt_str("exec.platform", "skx-impi") or "skx-impi"
-    jobs = ctx.opt_int("exec.jobs", 2) or 2
-    chunk_size = ctx.opt_int("exec.chunk_size", None)
+    config = _exec_config()
 
     def timed(executor: Executor):
         t0 = time.perf_counter()
-        sweep = run_sweep(platform, config, executor=executor)
+        sweep = run_sweep(EXEC_PLATFORM, config, executor=executor)
         return time.perf_counter() - t0, sweep
 
     with tempfile.TemporaryDirectory(prefix="exec-bench-") as cache_root:
         store = ResultStore(cache_root)
         t_serial, s_serial = timed(Executor(jobs=1))
-        t_parallel, s_parallel = timed(Executor(jobs=jobs, chunk_size=chunk_size))
+        t_parallel, s_parallel = timed(Executor(jobs=EXEC_JOBS))
         t_cold, s_cold = timed(Executor(jobs=1, cache=store))
         t_warm, s_warm = timed(Executor(jobs=1, cache=store))
 
@@ -394,13 +392,12 @@ def _exec_measure(ctx: GateContext) -> dict[str, float]:
 
 
 def _exec_describe(ctx: GateContext) -> dict[str, Any]:
-    config = _exec_config(ctx)
+    config = _exec_config()
     return {
         "workload": f"{len(config.schemes)} schemes x {list(config.sizes)} B, "
         f"{config.policy.iterations} iterations, flushed, materialized",
-        "platform": ctx.opt_str("exec.platform", "skx-impi"),
-        "jobs": ctx.opt_int("exec.jobs", 2),
-        "chunk_size": ctx.opt_int("exec.chunk_size", None),
+        "platform": EXEC_PLATFORM,
+        "jobs": EXEC_JOBS,
         "cpus": ctx.cpus,
     }
 
@@ -418,15 +415,13 @@ register(
                 name="identity",
                 metric="sweeps_identical",
                 op=">=",
-                threshold_option="exec.min_identity",
-                default_threshold=1.0,
+                threshold=1.0,
             ),
             GateCheck(
                 name="parallel",
                 metric="parallel_speedup",
                 op=">=",
-                threshold_option="exec.min_parallel_speedup",
-                default_threshold=1.1,
+                threshold=1.1,
                 skip=_exec_skip_parallel,
                 informational=("parallel_seconds",),
             ),
@@ -434,8 +429,8 @@ register(
                 name="cache",
                 metric="cache_speedup",
                 op=">=",
-                threshold_option="exec.min_cache_speedup",
-                default_threshold=10.0,
+                threshold=10.0,
+                option="exec.min_cache_speedup",
             ),
         ),
     )
@@ -564,30 +559,27 @@ register(
                 name="goldens",
                 metric="golden_mismatches",
                 op="<=",
-                threshold_option="contention.max_mismatches",
-                default_threshold=0.0,
+                threshold=0.0,
                 informational=("unexpected_cold_hits", "warm_reexecutions"),
             ),
             GateCheck(
                 name="cold-store-misses",
                 metric="unexpected_cold_hits",
                 op="<=",
-                threshold_option="contention.max_cold_hits",
-                default_threshold=0.0,
+                threshold=0.0,
             ),
             GateCheck(
                 name="warm-store-hits",
                 metric="warm_reexecutions",
                 op="<=",
-                threshold_option="contention.max_warm_reexec",
-                default_threshold=0.0,
+                threshold=0.0,
             ),
             GateCheck(
                 name="bypass-overhead",
                 metric="overhead",
                 op="<=",
-                threshold_option="contention.max_overhead",
-                default_threshold=1.2,
+                threshold=1.2,
+                option="contention.max_overhead",
             ),
         ),
     )
@@ -597,7 +589,7 @@ register(
 # ======================================================================
 # shm-overhead
 # ======================================================================
-def _shm_halo_setup(ctx: GateContext):
+def _shm_halo_setup():
     """The all-on-node halo: every rank of the job on one node, so all
     ring faces ride the shm transport when the model is attached and
     the (pre-refactor) fabric path when it is not."""
@@ -606,7 +598,7 @@ def _shm_halo_setup(ctx: GateContext):
     from ..machine.network import default_shm_model
     from ..net import make_topology
 
-    nranks = ctx.opt_int("shm.ranks", 64) or 64
+    nranks = 64
     spec = HaloSpec(nx=64, ny=32, ghost=2, iterations=2)
     topo = make_topology(
         "fat-tree", nranks, ranks_per_node=nranks, placement="block"
@@ -627,83 +619,42 @@ def _shm_time_halo(spec, nranks: int, platform) -> tuple[float, int]:
     return elapsed, int(job.metrics.counter("p2p.shm_sends").value)
 
 
-def _shm_goldens(ctx: GateContext) -> dict[str, float]:
-    """Cold + warm golden passes against the 64 recorded cells — the
-    transport refactor must leave every flat-topology digest and scheme
-    time bit-identical.  Expensive, so computed once per gate run and
-    cached across the timing repeats."""
-    cached = ctx.scratch.get("shm_goldens")
-    if cached is not None:
-        return cached
-    from ..exec import Executor, ResultStore
-
-    golden = json.loads(
-        (ctx.repo / "tests" / "core" / "golden_scheme_times.json").read_text()
-    )
-    with tempfile.TemporaryDirectory(prefix="shm-store-") as tmp:
-        store = ResultStore(tmp)
-        cold = Executor(cache=store)
-        cold_bad = _count_golden_mismatches(cold, golden)
-        warm = Executor(cache=store)
-        warm_bad = _count_golden_mismatches(warm, golden)
-        result = {
-            "golden_mismatches": float(cold_bad + warm_bad),
-            "unexpected_cold_hits": float(cold.cells_cached),
-            "warm_reexecutions": float(warm.cells_executed),
-            "golden_cells": float(len(golden)),
-        }
-    ctx.scratch["shm_goldens"] = result
-    return result
-
-
 def _shm_measure(ctx: GateContext) -> dict[str, float]:
-    metrics = dict(_shm_goldens(ctx))
-    nranks, spec, plat_net, plat_shm = _shm_halo_setup(ctx)
+    nranks, spec, plat_net, plat_shm = _shm_halo_setup()
     t_net, net_shm_sends = _shm_time_halo(spec, nranks, plat_net)
     t_shm, shm_sends = _shm_time_halo(spec, nranks, plat_shm)
-    metrics.update(
-        network_seconds=t_net,
-        shm_seconds=t_shm,
-        overhead=t_shm / t_net,
-        shm_sends=float(shm_sends),
-        network_shm_sends=float(net_shm_sends),
-    )
-    return metrics
+    return {
+        "network_seconds": t_net,
+        "shm_seconds": t_shm,
+        "overhead": t_shm / t_net,
+        "shm_sends": float(shm_sends),
+        "network_shm_sends": float(net_shm_sends),
+    }
 
 
 register(
     GateSpec(
         name="shm-overhead",
-        title="shm transport: bit-identical goldens, bounded halo cost",
+        title="shm transport: exercised, bounded halo cost",
         ns="shm",
         measure=_shm_measure,
         default_repeats=3,
         describe=lambda ctx: {
-            "workload": "64 golden cells (cold + warm store) and an "
-            "all-on-node 64-rank halo with/without the shm transport"
+            "workload": "an all-on-node 64-rank halo with/without the "
+            "shm transport"
         },
         checks=(
-            GateCheck(
-                name="goldens",
-                metric="golden_mismatches",
-                op="<=",
-                threshold_option="shm.max_mismatches",
-                default_threshold=0.0,
-                informational=("unexpected_cold_hits", "warm_reexecutions"),
-            ),
             GateCheck(
                 name="halo-overhead",
                 metric="overhead",
                 op="<=",
-                threshold_option="shm.max_overhead",
-                default_threshold=1.3,
+                threshold=1.3,
             ),
             GateCheck(
                 name="shm-exercised",
                 metric="shm_sends",
                 op=">=",
-                threshold_option="shm.min_shm_sends",
-                default_threshold=1.0,
+                threshold=1.0,
                 informational=("network_shm_sends",),
             ),
         ),
@@ -733,8 +684,8 @@ def _kernel_measure(ctx: GateContext) -> dict[str, float]:
 
     from ..mpi.datatypes.batch import BatchTable, gather_runs, scatter_runs
 
-    inner = ctx.opt_int("kernels.inner_repeats", 7) or 7
-    n_runs = ctx.opt_int("kernels.n_runs", 4096) or 4096
+    inner = ctx.opt_int("kernels.inner_repeats", 7)
+    n_runs = ctx.opt_int("kernels.n_runs", 4096)
 
     def best(fn) -> float:
         t_best = float("inf")
@@ -785,6 +736,7 @@ register(
         ns="kernels",
         measure=_kernel_measure,
         default_repeats=1,
+        options=("kernels.inner_repeats", "kernels.n_runs"),
         describe=lambda ctx: {
             "workload": f"{ctx.opt_int('kernels.n_runs', 4096)} contiguous runs "
             "(gather/scatter)"
@@ -794,22 +746,21 @@ register(
                 name="tier-identity",
                 metric="tiers_identical",
                 op=">=",
-                threshold_option="kernels.min_identity",
-                default_threshold=1.0,
+                threshold=1.0,
             ),
             GateCheck(
                 name="gather",
                 metric="gather_speedup",
                 op=">=",
-                threshold_option="kernels.min_gather_speedup",
-                default_threshold=2.0,
+                threshold=2.0,
+                option="kernels.min_gather_speedup",
             ),
             GateCheck(
                 name="scatter",
                 metric="scatter_speedup",
                 op=">=",
-                threshold_option="kernels.min_gather_speedup",
-                default_threshold=2.0,
+                threshold=2.0,
+                option="kernels.min_gather_speedup",
             ),
         ),
     )
@@ -817,8 +768,12 @@ register(
 
 
 # ======================================================================
-# serve-throughput (tools/bench_serve.py)
+# serve-throughput
 # ======================================================================
+#: Concurrent clients, and the synchronized rounds each one submits.
+SERVE_CLIENTS, SERVE_ROUNDS = 4, 3
+
+
 def _serve_requests(rounds: int) -> list:
     """The per-round request bodies: a shared hot grid in round 0, then
     a perturbed-eager-limit variant per later round — every round prices
@@ -846,9 +801,8 @@ def _serve_measure(ctx: GateContext) -> dict[str, float]:
 
     from ..serve import ServeClient, ServerThread
 
-    clients = ctx.opt_int("serve.clients", 4)
-    rounds = ctx.opt_int("serve.rounds", 3)
-    requests = _serve_requests(rounds)
+    clients = SERVE_CLIENTS
+    requests = _serve_requests(SERVE_ROUNDS)
     barrier = threading.Barrier(clients)
     lock = threading.Lock()
     latencies: list[float] = []
@@ -918,8 +872,8 @@ register(
         measure=_serve_measure,
         default_repeats=1,
         describe=lambda ctx: {
-            "workload": f"{ctx.opt_int('serve.clients', 4)} concurrent clients "
-            f"x {ctx.opt_int('serve.rounds', 3)} synchronized rounds of a "
+            "workload": f"{SERVE_CLIENTS} concurrent clients "
+            f"x {SERVE_ROUNDS} synchronized rounds of a "
             "6-cell ideal-platform grid (hot round 0, perturbed eager "
             "limits after)"
         },
@@ -928,124 +882,26 @@ register(
                 name="server-ok",
                 metric="server_ok",
                 op=">=",
-                threshold_option="serve.min_server_ok",
-                default_threshold=1.0,
+                threshold=1.0,
             ),
             GateCheck(
                 name="request-failures",
                 metric="requests_failed",
                 op="<=",
-                threshold_option="serve.max_failed",
-                default_threshold=0.0,
+                threshold=0.0,
             ),
             GateCheck(
                 name="dedup",
                 metric="dedup_hit_rate",
                 op=">=",
-                threshold_option="serve.min_dedup_rate",
-                default_threshold=0.5,
+                threshold=0.5,
             ),
             GateCheck(
                 name="p99-latency",
                 metric="p99_request_seconds",
                 op="<=",
-                threshold_option="serve.max_p99_seconds",
-                default_threshold=2.0,
+                threshold=2.0,
             ),
         ),
     )
 )
-
-
-# ======================================================================
-# Legacy-compatible helpers (the BENCH_exec.json record shape).
-# ======================================================================
-def exec_gate_records(cpus: int, min_parallel: float, min_cache: float) -> dict:
-    """The two gate entries of ``BENCH_exec.json``.
-
-    Every gate carries an explicit ``skipped`` field so downstream
-    tooling never has to infer "not checked" from a missing key: on a
-    single-CPU host the parallel gate is ``skipped: true`` with the
-    reason recorded, never silently green.
-    """
-    parallel_checked = cpus >= 2
-    return {
-        "parallel_gate": (
-            {"checked": True, "skipped": False, "min": min_parallel}
-            if parallel_checked
-            else {
-                "checked": False,
-                "skipped": True,
-                "reason": "single-CPU host",
-                "cpus": cpus,
-            }
-        ),
-        "cache_gate": {"checked": True, "skipped": False, "min": min_cache},
-    }
-
-
-def evaluate_exec_gates(
-    gates: dict, parallel_speedup: float, cache_speedup: float
-) -> list[str]:
-    """Apply the recorded gates to the measured speedups; returns the
-    failure messages (empty = pass).  A skipped gate never fails."""
-    failures = []
-    pg = gates["parallel_gate"]
-    if not pg["skipped"] and parallel_speedup < pg["min"]:
-        failures.append(
-            f"parallel speedup {parallel_speedup:.2f}x below the "
-            f"required {pg['min']:.2f}x"
-        )
-    cg = gates["cache_gate"]
-    if not cg["skipped"] and cache_speedup < cg["min"]:
-        failures.append(
-            f"warm-cache speedup {cache_speedup:.1f}x below the "
-            f"required {cg['min']:.1f}x"
-        )
-    return failures
-
-
-def exec_bench_record(result, *, cpus: int | None = None) -> dict:
-    """Compose the ``BENCH_exec.json`` record from an ``exec-speedup``
-    :class:`~.gates.GateResult` dict or object.
-
-    When the parallel check was skipped, the parallel numbers are still
-    recorded (they were measured) but carry ``"informational": true``
-    so nobody mistakes a 1-CPU "speedup" for an asserted result.
-    """
-    data = result.to_json() if hasattr(result, "to_json") else dict(result)
-    metrics = data["metrics"]
-    extra = data.get("extra", {})
-    checks = {c["name"]: c for c in data["checks"]}
-    parallel = checks.get("parallel", {})
-    cache = checks.get("cache", {})
-    host_cpus = cpus if cpus is not None else extra.get("cpus", 0)
-
-    record: dict[str, Any] = {
-        "workload": extra.get("workload", ""),
-        "platform": extra.get("platform", "skx-impi"),
-        "cpus": host_cpus,
-        "jobs": extra.get("jobs", 2),
-        "chunk_size": extra.get("chunk_size") or "auto",
-        "serial_seconds": round(metrics["serial_seconds"], 4),
-        "cold_cache_seconds": round(metrics["cold_cache_seconds"], 4),
-        "warm_cache_seconds": round(metrics["warm_cache_seconds"], 4),
-        "cache_speedup": round(metrics["cache_speedup"], 1),
-    }
-    if parallel.get("skipped"):
-        # Measured, not asserted: explicit informational marking.
-        record["parallel_seconds"] = round(metrics["parallel_seconds"], 4)
-        record["parallel_speedup"] = round(metrics["parallel_speedup"], 3)
-        record["parallel_informational"] = True
-        record["informational"] = ["parallel_seconds", "parallel_speedup"]
-    else:
-        record["parallel_seconds"] = round(metrics["parallel_seconds"], 4)
-        record["parallel_speedup"] = round(metrics["parallel_speedup"], 3)
-    record.update(
-        exec_gate_records(
-            host_cpus,
-            parallel.get("threshold", 1.1),
-            cache.get("threshold", 10.0),
-        )
-    )
-    return record

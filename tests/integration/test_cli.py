@@ -321,6 +321,21 @@ def test_perf_option_parsing_rejects_malformed():
         main(["perf", "gate", "--gate", "kernel-speedup", "--option", "noequals"])
 
 
+@pytest.mark.parametrize(
+    "gate, option",
+    [
+        ("kernel-speedup", "kernels.min_gather_sped=1e9"),
+        ("exec-speedup", "exec.min_identity=0"),
+    ],
+)
+def test_perf_gate_rejects_unknown_option_before_running(gate, option, capsys):
+    assert main(["perf", "gate", "--gate", gate, "--option", option]) == 1
+    captured = capsys.readouterr()
+    assert "== gate" not in captured.out  # nothing ran
+    assert "unknown gate option" in captured.err
+    assert "valid for the selected gates:" in captured.err
+
+
 def test_sweep_host_trace_flag(tmp_path, capsys):
     """``repro sweep --host-trace`` captures the executor's wall-clock
     lanes alongside the normal sweep output."""

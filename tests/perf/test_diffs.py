@@ -1,5 +1,5 @@
-"""Diff + report tests: noise bands from raw samples, informational
-marking end-to-end, and the BENCH_exec.json composition rules."""
+"""Diff + report tests: noise bands from raw samples and informational
+marking end-to-end."""
 
 from __future__ import annotations
 
@@ -10,11 +10,6 @@ from repro.perf import (
     machine_fingerprint,
     render_diff,
     render_report,
-)
-from repro.perf.workloads import (
-    evaluate_exec_gates,
-    exec_bench_record,
-    exec_gate_records,
 )
 
 
@@ -169,84 +164,3 @@ class TestReport:
             ],
         )
         assert "SKIP" in render_report([e])
-
-
-class TestExecBenchRecord:
-    """Satellite: the committed BENCH_exec.json can never present a
-    single-CPU 'parallel speedup' as an asserted result."""
-
-    def fake_result(self, *, parallel_skipped):
-        parallel = (
-            {
-                "name": "parallel",
-                "skipped": True,
-                "passed": None,
-                "metric": "parallel_speedup",
-                "threshold": 1.1,
-                "reason": "single-CPU host (1 usable CPU)",
-            }
-            if parallel_skipped
-            else {
-                "name": "parallel",
-                "skipped": False,
-                "passed": True,
-                "metric": "parallel_speedup",
-                "threshold": 1.1,
-            }
-        )
-        return {
-            "gate": "exec-speedup",
-            "metrics": {
-                "serial_seconds": 1.0,
-                "parallel_seconds": 1.44,
-                "cold_cache_seconds": 1.1,
-                "warm_cache_seconds": 0.01,
-                "parallel_speedup": 0.696,
-                "cache_speedup": 110.0,
-            },
-            "checks": [
-                parallel,
-                {
-                    "name": "cache",
-                    "skipped": False,
-                    "passed": True,
-                    "metric": "cache_speedup",
-                    "threshold": 10.0,
-                },
-            ],
-            "extra": {"workload": "8 cells", "platform": "skx-impi", "jobs": 2},
-        }
-
-    def test_skipped_parallel_is_marked_informational(self):
-        record = exec_bench_record(
-            self.fake_result(parallel_skipped=True), cpus=1
-        )
-        assert record["parallel_informational"] is True
-        assert record["informational"] == ["parallel_seconds", "parallel_speedup"]
-        assert record["parallel_speedup"] == 0.696  # still recorded
-        assert record["parallel_gate"]["skipped"] is True
-        assert record["parallel_gate"]["reason"] == "single-CPU host"
-        assert record["cache_gate"]["skipped"] is False
-
-    def test_checked_parallel_has_no_informational_marking(self):
-        record = exec_bench_record(
-            self.fake_result(parallel_skipped=False), cpus=4
-        )
-        assert "parallel_informational" not in record
-        assert "informational" not in record
-        assert record["parallel_gate"] == {
-            "checked": True,
-            "skipped": False,
-            "min": 1.1,
-        }
-
-    def test_gate_records_and_evaluation_match_legacy(self):
-        multi = exec_gate_records(4, 1.1, 10.0)
-        assert evaluate_exec_gates(multi, 2.0, 50.0) == []
-        failures = evaluate_exec_gates(multi, 0.9, 2.0)
-        assert len(failures) == 2
-        assert "parallel speedup 0.90x" in failures[0]
-        single = exec_gate_records(1, 1.1, 10.0)
-        # Skipped gate never fails, the cache gate still can.
-        assert evaluate_exec_gates(single, 0.5, 50.0) == []
-        assert len(evaluate_exec_gates(single, 0.5, 2.0)) == 1

@@ -1,6 +1,7 @@
 """Gate-engine tests with synthetic GateSpecs: median-over-repeats,
 skip semantics, informational marking, error capture, and the
-telemetry snapshot embedded per run."""
+telemetry snapshot embedded per run, and the closed option set of
+the built-in gates."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.perf import (
     GateContext,
     GateSpec,
     all_gates,
+    check_options,
     gate_names,
     get_gate,
     run_gate,
@@ -37,8 +39,8 @@ def check(metric="speed", op=">=", default=2.0, *, skip=None, informational=()):
         name=metric,
         metric=metric,
         op=op,
-        threshold_option=f"syn.min_{metric}",
-        default_threshold=default,
+        threshold=default,
+        option=f"syn.min_{metric}",
         skip=skip,
         informational=informational,
     )
@@ -205,12 +207,10 @@ class TestEngine:
 
 class TestContext:
     def test_option_coercion(self):
-        ctx = GateContext({"a.x": "2.5", "a.n": "7", "a.none": "", "a.s": 3})
+        ctx = GateContext({"a.x": "2.5", "a.n": "7"})
         assert ctx.opt_float("a.x", 0.0) == 2.5
-        assert ctx.opt_int("a.n", None) == 7
-        assert ctx.opt_int("a.none", 5) is None  # empty string -> None
-        assert ctx.opt_int("a.missing", None) is None
-        assert ctx.opt_str("a.s", None) == "3"
+        assert ctx.opt_int("a.n", 1) == 7
+        assert ctx.opt_int("a.missing", 5) == 5
 
     def test_repo_discovery(self):
         ctx = GateContext()
@@ -224,10 +224,103 @@ class TestBuiltinRegistry:
             "plan-speedup",
             "exec-speedup",
             "contention-overhead",
+            "shm-overhead",
             "kernel-speedup",
+            "serve-throughput",
         }
         assert [s.name for s in all_gates()] == gate_names()
 
     def test_get_gate_unknown_lists_available(self):
         with pytest.raises(LookupError, match="kernel-speedup"):
             get_gate("definitely-not-a-gate")
+
+
+class TestOptions:
+    #: Every option a built-in gate reads: ``<ns>.repeats`` plus the
+    #: keys CI, the README and the tests set.
+    SETTABLE = {
+        "tracing.repeats",
+        "plan.repeats",
+        "plan.min_speedup",
+        "exec.repeats",
+        "exec.min_cache_speedup",
+        "contention.repeats",
+        "contention.max_overhead",
+        "shm.repeats",
+        "kernels.repeats",
+        "kernels.inner_repeats",
+        "kernels.n_runs",
+        "kernels.min_gather_speedup",
+        "serve.repeats",
+    }
+
+    def test_builtin_option_set_is_closed(self):
+        keys = set().union(*(spec.option_keys() for spec in all_gates()))
+        assert keys == self.SETTABLE
+
+    def test_fixed_threshold_ignores_options(self):
+        fixed = GateCheck(name="speed", metric="speed", op=">=", threshold=2.0)
+        result, _ = run_gate(
+            spec_of(lambda ctx: {"speed": 2.5}, [fixed]), {"syn.speed": 9.0}
+        )
+        assert result.passed and result.checks[0].threshold == 2.0
+
+    def test_ci_overrides_are_accepted(self):
+        check_options(
+            all_gates(),
+            {
+                "exec.min_cache_speedup": "5",
+                "plan.min_speedup": "1.2",
+                "contention.max_overhead": "1.5",
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "gate, key",
+        [
+            ("kernel-speedup", "kernels.min_gather_sped"),  # typo
+            ("exec-speedup", "exec.min_identity"),  # removed correctness key
+            ("kernel-speedup", "exec.min_cache_speedup"),  # gate not selected
+        ],
+    )
+    def test_unknown_keys_are_rejected_with_the_valid_ones(self, gate, key):
+        spec = get_gate(gate)
+        with pytest.raises(ValueError, match=f"unknown gate option.*{key}") as err:
+            check_options([spec], {key: "0"})
+        assert f"{spec.ns}.repeats" in str(err.value)
+
+
+class TestPlanSpeedup:
+    def test_cache_off_against_on_in_process(self, monkeypatch):
+        """The plan gate needs no base revision: it times one body with
+        the plan cache disabled and at its default bound, alternating
+        which leg runs first, and never shells out."""
+        import subprocess
+
+        from repro.mpi.datatypes import plan_cache_stats
+        from repro.perf import workloads
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("plan-speedup must not run a subprocess")
+
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        capacities = []
+        monkeypatch.setattr(
+            workloads,
+            "_plan_workload",
+            lambda: lambda: capacities.append(plan_cache_stats()["capacity"]),
+        )
+        result, _ = run_gate(
+            get_gate("plan-speedup"), {"plan.repeats": 2}, capture_host=False
+        )
+        assert result.error is None
+        default = plan_cache_stats()["capacity"]
+        assert default > 0
+        # Each leg is one warm-up plus five timed calls.
+        off, on = [0] * 6, [default] * 6
+        assert capacities == off + on + on + off
+        assert set(result.metrics) == {
+            "cache_off_seconds",
+            "cache_on_seconds",
+            "speedup",
+        }

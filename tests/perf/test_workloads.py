@@ -1,6 +1,5 @@
 """Regression tests for the structural leg of the tracing-overhead
-gate (satellite of the zero-cost-when-off contract) and the legacy
-tool shims that now front the gate registry."""
+gate (satellite of the zero-cost-when-off contract)."""
 
 from __future__ import annotations
 
@@ -33,31 +32,3 @@ class TestStructuralCheck:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-
-
-class TestLegacyShims:
-    """The five tools/check_*.py entry points stay importable and keep
-    the module-level API older automation (and tests) rely on."""
-
-    def _load(self, name):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(name, REPO / "tools" / name)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod
-
-    def test_all_five_shims_import_and_expose_main(self):
-        for name in (
-            "check_tracing_overhead.py",
-            "check_plan_overhead.py",
-            "check_contention_overhead.py",
-            "check_exec_speedup.py",
-            "bench_kernels.py",
-        ):
-            mod = self._load(name)
-            assert callable(mod.main)
-
-    def test_tracing_shim_reexports_structural_check(self):
-        mod = self._load("check_tracing_overhead.py")
-        assert mod.STRUCTURAL_CHECK == STRUCTURAL_CHECK
