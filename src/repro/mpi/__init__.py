@@ -46,7 +46,7 @@ from .errors import (
 from .persistent import PersistentRecvRequest, PersistentSendRequest, start_all
 from .request import Request, wait_all
 from .runtime import JobResult, Process, World, run_mpi
-from .status import ANY_SOURCE, ANY_TAG, Status
+from .status import ANY_SOURCE, ANY_TAG, TAG_UB, Status
 from .win import Win
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "Status",
     "ANY_SOURCE",
     "ANY_TAG",
+    "TAG_UB",
     "Request",
     "wait_all",
     "PersistentSendRequest",

@@ -21,7 +21,7 @@ from .errors import CommunicatorError, TruncationError
 from .matching import PostedRecv
 from .protocol import Payload, SendOperation
 from .request import RecvRequest, Request, SendRequest
-from .status import ANY_SOURCE, ANY_TAG, Status
+from .status import ANY_SOURCE, ANY_TAG, TAG_UB, Status
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Process, World
@@ -144,11 +144,13 @@ class Comm:
 
     @staticmethod
     def _check_tag(tag: int, *, wildcard: bool) -> None:
-        """Sends need ``tag >= 0``; receives and probes also accept
-        ``ANY_TAG`` (MPI_ERR_TAG otherwise)."""
+        """Sends need ``0 <= tag <= TAG_UB``; receives and probes also
+        accept ``ANY_TAG`` (MPI_ERR_TAG otherwise)."""
         floor = ANY_TAG if wildcard else 0
         if tag < floor:
             raise CommunicatorError(f"tag {tag} below {floor}")
+        if tag > TAG_UB:
+            raise CommunicatorError(f"tag {tag} above TAG_UB ({TAG_UB})")
 
     @staticmethod
     def _is_packed(datatype: Datatype) -> bool:

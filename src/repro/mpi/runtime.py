@@ -228,6 +228,9 @@ class JobResult:
     virtual_time: float
     #: Kernel events processed (a determinism/performance fingerprint).
     events: int
+    #: Times the kernel's baton moved to a different thread (a host
+    #: cost, not part of any digest or stored record).
+    thread_switches: int
     #: The trace, if tracing was enabled.
     tracer: Tracer
     #: The job's metrics registry (always populated).
@@ -318,6 +321,7 @@ def run_mpi(
         finish_times=finish_times,
         virtual_time=kernel.now,
         events=kernel.events_processed,
+        thread_switches=kernel.thread_switches,
         tracer=kernel.tracer,
         metrics=world.metrics,
     )

@@ -7,12 +7,15 @@ from dataclasses import dataclass
 from .datatypes.datatype import Datatype
 from .errors import CommunicatorError
 
-__all__ = ["Status", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["Status", "ANY_SOURCE", "ANY_TAG", "TAG_UB"]
 
 #: Wildcard source rank (``MPI_ANY_SOURCE``).
 ANY_SOURCE = -1
 #: Wildcard message tag (``MPI_ANY_TAG``).
 ANY_TAG = -1
+#: Largest valid message tag (``MPI_TAG_UB``): the C-int ceiling that
+#: MPICH and Open MPI report.
+TAG_UB = 2**31 - 1
 
 
 @dataclass(frozen=True)

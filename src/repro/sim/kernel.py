@@ -4,12 +4,20 @@ Design
 ------
 User code (an MPI "rank program") runs in an ordinary Python thread and
 calls blocking APIs (``comm.Send``, ``task.sleep``, ...), which suspend
-the thread and hand control back to the kernel.  The kernel advances a
-single virtual clock by draining a priority queue of events; exactly one
-thread — kernel *or* one task — runs at any instant, so execution is
-fully deterministic regardless of OS scheduling: events fire in
-``(time, sequence-number)`` order, and no shared-state locking is
-needed.
+the thread.  A single virtual clock advances by draining a priority
+queue of events in ``(time, sequence-number)`` order.  Exactly one
+thread holds the *baton* at any instant, so execution is fully
+deterministic regardless of OS scheduling and no shared-state locking
+is needed.
+
+The baton holder runs the event loop itself: :meth:`Kernel.run` at
+first, then whichever task suspends (inside ``_suspend``) or finishes.
+It pops events, runs ``"call"`` callbacks inline, and stops at the
+first event that resumes a task.  If that task is the holder's own, it
+simply returns: a same-task resume costs no thread switch.  Otherwise
+it releases the target's parking ``Lock`` and parks on its own.  When
+the queue drains or a failure is recorded the baton goes back to
+``run()``, which reports the outcome and unwinds parked threads.
 
 This is the classic "threads as coroutines" PDES construction; the
 threads exist only to give rank programs a natural blocking call style
@@ -66,8 +74,10 @@ class SimTask:
         self.state = TaskState.NEW
         self.block_reason = ""
         self.result: Any = None
-        self._go = threading.Event()
-        self._yielded = threading.Event()
+        # Held while the task is parked; whoever passes it the baton
+        # releases it.
+        self._baton = threading.Lock()
+        self._baton.acquire()
         self._killed = False
         self._wake_token = 0
         self._block_begin = 0.0
@@ -80,12 +90,7 @@ class SimTask:
     # Thread plumbing (private)
     # ------------------------------------------------------------------
     def _thread_body(self) -> None:
-        self._go.wait()
-        self._go.clear()
-        if self._killed:
-            self.state = TaskState.KILLED
-            self._yielded.set()
-            return
+        self._baton.acquire()
         try:
             self.state = TaskState.RUNNING
             self.result = self._fn(*self._args)
@@ -97,14 +102,14 @@ class SimTask:
             self._kernel._record_failure(exc, self)
         finally:
             self._kernel._task_done(self)
-            self._yielded.set()
+        if not self._killed:
+            # A killed task is unwound by run(), which holds the baton.
+            self._kernel._pass_baton(self, park=False)
 
     def _suspend(self) -> None:
-        """Hand control to the kernel; return when resumed."""
+        """Run the event loop until this task is resumed."""
         self._wake_token += 1
-        self._yielded.set()
-        self._go.wait()
-        self._go.clear()
+        self._kernel._pass_baton(self)
         if self._killed:
             raise _TaskKilled()
         self.state = TaskState.RUNNING
@@ -193,6 +198,12 @@ class Kernel:
         self._failure: BaseException | None = None
         self._ran = False
         self._events_processed = 0
+        self._max_events: int | None = None
+        # run()'s parking lock: released when the baton comes back.
+        self._run_baton = threading.Lock()
+        self._run_baton.acquire()
+        #: Times the baton moved to a different thread.
+        self.thread_switches = 0
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
 
     # ------------------------------------------------------------------
@@ -228,8 +239,9 @@ class Kernel:
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule a kernel-context callback ``delay`` from now.
 
-        Callbacks run in the kernel thread and must not block; they are
-        the mechanism for timed deliveries (a message "arriving").
+        Callbacks run in whichever thread holds the baton, with
+        :attr:`current_task` ``None``, and must not block; they are the
+        mechanism for timed deliveries (a message "arriving").
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
@@ -242,57 +254,16 @@ class Kernel:
         """Drain the event queue; returns when every task has finished.
 
         Raises :class:`DeadlockError` if live tasks remain with no
-        events pending, re-raises the first exception any task raised,
-        and raises :class:`EventLimitExceeded` past ``max_events``.
+        events pending, re-raises the first exception any task or
+        callback raised, and raises :class:`EventLimitExceeded` past
+        ``max_events``.
         """
         if self._ran:
             raise KernelStateError("a Kernel can only be run once")
         self._ran = True
+        self._max_events = max_events
         try:
-            while self._heap and self._failure is None:
-                time, _seq, kind, payload = heapq.heappop(self._heap)
-                self._now = time
-                self._events_processed += 1
-                if max_events is not None and self._events_processed > max_events:
-                    raise EventLimitExceeded(
-                        f"exceeded {max_events} events at virtual time {time:.6g}"
-                    )
-                if kind == "call":
-                    fn, args = payload
-                    fn(*args)
-                elif kind == "start":
-                    # Threads start lazily here so tasks spawned mid-run
-                    # work the same as tasks spawned up front.
-                    if self.tracer.wait_edges_enabled:
-                        self.tracer.record_task_start(payload.name, time)
-                    if not payload._thread.is_alive():
-                        payload._thread.start()
-                    self._switch_to(payload)
-                elif kind == "resume":
-                    task, token = payload
-                    if (
-                        task.state in (TaskState.SLEEPING, TaskState.BLOCKED)
-                        and token == task._wake_token
-                    ):
-                        if task.state is TaskState.BLOCKED and self.tracer.wait_edges_enabled:
-                            pending = task._pending_wake
-                            waker, notify_time, cause = (
-                                pending if pending is not None else (None, time, None)
-                            )
-                            self.tracer.record_wait_edge(
-                                WaitEdge(
-                                    task=task.name,
-                                    block_begin=task._block_begin,
-                                    resume_time=time,
-                                    reason=task.block_reason,
-                                    waker=waker,
-                                    notify_time=notify_time,
-                                    cause=cause,
-                                )
-                            )
-                        self._switch_to(task)
-                else:  # pragma: no cover - defensive
-                    raise SimError(f"unknown event kind {kind!r}")
+            self._pass_baton(None)
             if self._failure is not None:
                 raise self._failure
             if self._live_count > 0:
@@ -314,12 +285,76 @@ class Kernel:
     def _schedule_resume(self, task: SimTask, time: float, token: int) -> None:
         self._push(time, "resume", (task, token))
 
-    def _switch_to(self, task: SimTask) -> None:
-        self._current = task
-        task._go.set()
-        task._yielded.wait()
-        task._yielded.clear()
+    def _pass_baton(self, me: SimTask | None, park: bool = True) -> None:
+        """Run events on the calling thread until one resumes a task.
+
+        ``me`` is the caller's task (``None`` for :meth:`run`).  If the
+        resumed task is ``me`` this returns at once; otherwise the baton
+        goes to that task's thread (or back to ``run()`` once the queue
+        drains or a failure is recorded) and, if ``park``, the caller
+        waits until it is handed the baton again.
+        """
         self._current = None
+        try:
+            target = self._next_task()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self._failure = exc
+            target = None
+        self._current = target
+        if target is me:
+            return
+        self.thread_switches += 1
+        (self._run_baton if target is None else target._baton).release()
+        if park:
+            (self._run_baton if me is None else me._baton).acquire()
+
+    def _next_task(self) -> SimTask | None:
+        """Pop events, running callbacks inline, up to the next resume."""
+        tracer = self.tracer
+        while self._heap and self._failure is None:
+            time, _seq, kind, payload = heapq.heappop(self._heap)
+            self._now = time
+            self._events_processed += 1
+            if self._max_events is not None and self._events_processed > self._max_events:
+                raise EventLimitExceeded(
+                    f"exceeded {self._max_events} events at virtual time {time:.6g}"
+                )
+            if kind == "call":
+                fn, args = payload
+                fn(*args)
+            elif kind == "start":
+                # Threads start lazily here so tasks spawned mid-run
+                # work the same as tasks spawned up front.
+                if tracer.wait_edges_enabled:
+                    tracer.record_task_start(payload.name, time)
+                payload._thread.start()
+                return payload
+            elif kind == "resume":
+                task, token = payload
+                if (
+                    task.state in (TaskState.SLEEPING, TaskState.BLOCKED)
+                    and token == task._wake_token
+                ):
+                    if task.state is TaskState.BLOCKED and tracer.wait_edges_enabled:
+                        pending = task._pending_wake
+                        waker, notify_time, cause = (
+                            pending if pending is not None else (None, time, None)
+                        )
+                        tracer.record_wait_edge(
+                            WaitEdge(
+                                task=task.name,
+                                block_begin=task._block_begin,
+                                resume_time=time,
+                                reason=task.block_reason,
+                                waker=waker,
+                                notify_time=notify_time,
+                                cause=cause,
+                            )
+                        )
+                    return task
+            else:  # pragma: no cover - defensive
+                raise SimError(f"unknown event kind {kind!r}")
+        return None
 
     def _check_current(self, task: SimTask) -> None:
         if self._current is not task:
@@ -342,7 +377,7 @@ class Kernel:
         for task in self._tasks:
             if task._thread.is_alive() and task.alive:
                 task._killed = True
-                task._go.set()
+                task._baton.release()
         for task in self._tasks:
             if task._thread.is_alive():
                 task._thread.join(timeout=10.0)

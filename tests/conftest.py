@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,22 @@ def _isolated_result_store(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("result-store"))
     )
+
+
+_TESTS_DIR = Path(__file__).parent
+#: Suites whose tests run the sim kernel and must not leak its threads.
+_SIM_THREAD_SUITES = {"sim", "mpi", "core", "integration"}
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_sim_threads(request):
+    """Fail a test that leaves a ``sim:*`` task thread alive: a parked
+    thread that never got the baton back."""
+    yield
+    if request.path.relative_to(_TESTS_DIR).parts[0] not in _SIM_THREAD_SUITES:
+        return
+    leaked = [t.name for t in threading.enumerate() if t.name.startswith("sim:")]
+    assert not leaked, f"sim task threads still alive: {leaked}"
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
     DOUBLE,
+    TAG_UB,
     CommunicatorError,
     SimBuffer,
     TruncationError,
@@ -253,6 +254,50 @@ class TestTagValidation:
 
         with pytest.raises(CommunicatorError, match=f"tag -2 below {ANY_TAG}"):
             run_mpi(main, 2, ideal)
+
+    def test_tag_ub_is_the_c_int_ceiling(self):
+        assert TAG_UB == 2**31 - 1
+
+    @pytest.mark.parametrize(
+        "call", ["Send", "Isend", "Ssend", "Bsend", "Send_init",
+                 "Recv", "Irecv", "Recv_init", "Probe", "Iprobe"],
+    )
+    def test_tags_above_tag_ub_rejected(self, ideal, call):
+        def main(comm):
+            if comm.rank == 0:
+                if call in ("Probe", "Iprobe"):
+                    getattr(comm, call)(source=1, tag=TAG_UB + 1)
+                elif call.startswith(("Recv", "Irecv")):
+                    getattr(comm, call)(np.zeros(1), source=1, tag=TAG_UB + 1)
+                else:
+                    getattr(comm, call)(np.zeros(1), dest=1, tag=TAG_UB + 1)
+
+        with pytest.raises(CommunicatorError, match=f"tag {TAG_UB + 1} above TAG_UB"):
+            run_mpi(main, 2, ideal)
+
+    def test_tag_ub_itself_is_a_valid_tag(self, ideal, doubles):
+        def main(comm):
+            if comm.rank == 0:
+                comm.Send(doubles(2), dest=1, tag=TAG_UB)
+                return None
+            st = comm.Probe(source=0, tag=TAG_UB)
+            buf = np.zeros(2, np.float64)
+            comm.Recv(buf, source=0, tag=TAG_UB)
+            return st.tag
+
+        assert run_mpi(main, 2, ideal).results[1] == TAG_UB
+
+    def test_collective_internal_tags_stay_below_tag_ub(self, ideal):
+        """Collectives tag their messages ``1 << 28`` plus a 16-bit
+        sequence number, which the bound must keep accepting."""
+
+        def main(comm):
+            buf = np.arange(3, dtype=np.float64) if comm.rank == 0 else np.zeros(3)
+            comm.Bcast(buf, root=0)
+            comm.Barrier()
+            return buf.tolist()
+
+        assert run_mpi(main, 4, ideal).results == [[0.0, 1.0, 2.0]] * 4
 
 
 class TestWildcardsAndProbe:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core import PAPER_ORDER, StridedLayout, run_pingpong
+from repro.core import pingpong as pingpong_module
+from repro.obs import SpanRecorder
 from repro.sim import (
     DeadlockError,
     EventLimitExceeded,
@@ -109,12 +114,12 @@ def test_call_later_runs_in_kernel_context():
 
     def main():
         t = k.tasks[0]
-        k.call_later(2.0, lambda: fired.append(k.now))
+        k.call_later(2.0, lambda: fired.append((k.now, k.current_task)))
         t.sleep(5.0)
 
     k.spawn(main)
     k.run()
-    assert fired == [2.0]
+    assert fired == [(2.0, None)]
 
 
 def test_call_later_negative_delay_rejected():
@@ -178,9 +183,18 @@ def test_event_limit():
         while True:
             t.sleep(1.0)
 
-    k.spawn(spin)
-    with pytest.raises(EventLimitExceeded):
+    task = k.spawn(spin)
+    with pytest.raises(EventLimitExceeded, match="exceeded 50 events") as exc_info:
         k.run(max_events=50)
+    # Only the start event is popped by run(); the 51st event is popped
+    # by the spinning task's own thread while it suspends.
+    assert any(
+        entry.name == "_pass_baton" and entry.locals["me"] is task
+        for entry in exc_info.traceback
+    )
+    assert k.events_processed == 51
+    assert task.state is TaskState.KILLED
+    assert not task._thread.is_alive()
 
 
 def test_kernel_single_use():
@@ -303,3 +317,141 @@ def test_determinism_fingerprint():
         return (k.now, k.events_processed)
 
     assert build() == build()
+
+
+# ----------------------------------------------------------------------
+# The baton: whichever thread suspends runs the event loop
+# ----------------------------------------------------------------------
+def test_callback_error_in_task_drain_reraises_unchanged():
+    """A callback popped by a suspending task's thread raises out of
+    run() with its own type and message, and no task note."""
+    k = Kernel()
+    ran_on = []
+
+    def explode():
+        ran_on.append(threading.current_thread().name)
+        raise LookupError("callback failed")
+
+    def main():
+        k.call_later(1.0, explode)
+        k.tasks[0].sleep(5.0)
+
+    task = k.spawn(main, name="holder")
+    with pytest.raises(LookupError) as exc_info:
+        k.run()
+    assert type(exc_info.value) is LookupError
+    assert str(exc_info.value) == "callback failed"
+    assert not getattr(exc_info.value, "__notes__", [])
+    assert ran_on == ["sim:holder"]
+    assert task.state is TaskState.KILLED
+    assert not task._thread.is_alive()
+
+
+def test_wake_from_callback_records_no_waker():
+    k = Kernel(tracer=SpanRecorder())
+    cond = SimCondition(k, "door")
+
+    def main():
+        k.call_later(2.0, cond.notify_all)
+        cond.wait(k.tasks[0], reason="door")
+
+    k.spawn(main, name="guest")
+    k.run()
+    (edge,) = k.tracer.wait_edges()
+    assert (edge.task, edge.waker, edge.notify_time, edge.resume_time) == (
+        "guest", None, 2.0, 2.0,
+    )
+
+
+def test_wake_from_task_records_the_waker():
+    k = Kernel(tracer=SpanRecorder())
+    cond = SimCondition(k, "door")
+
+    def guest():
+        cond.wait(k.tasks[0], reason="door")
+
+    def host():
+        k.tasks[1].sleep(1.0)
+        cond.notify_all()
+
+    k.spawn(guest, name="guest")
+    k.spawn(host, name="host")
+    k.run()
+    (edge,) = k.tracer.wait_edges()
+    assert (edge.task, edge.waker, edge.notify_time) == ("guest", "host", 1.0)
+
+
+@pytest.mark.parametrize("sleeps", [1, 1000])
+def test_same_task_resumes_cost_no_thread_switch(sleeps):
+    """The only switches are the hand-over from run() to the task's
+    thread at start and back to run() at the end; every resume of the
+    sleeping task runs on its own thread."""
+    k = Kernel()
+
+    def main():
+        t = k.tasks[0]
+        for _ in range(sleeps):
+            t.sleep(1.0)
+
+    k.spawn(main)
+    k.run()
+    assert k.now == float(sleeps)
+    assert k.events_processed == sleeps + 1
+    assert k.thread_switches == 2
+
+
+def test_thread_switches_count_cross_task_handoffs():
+    k = Kernel()
+    cond = SimCondition(k, "c")
+
+    def a():
+        t = k.tasks[0]
+        for _ in range(3):
+            t.sleep(1.0)
+            cond.notify_all()
+
+    def b():
+        t = k.tasks[1]
+        for _ in range(3):
+            cond.wait(t)
+
+    k.spawn(a, name="a")
+    k.spawn(b, name="b")
+    k.run()
+    # run -> a (start), a -> b (start), b -> a; a -> b and b -> a after
+    # each of the first two wakeups; a finishes -> b, b finishes -> run.
+    assert k.thread_switches == 9
+
+
+#: Exact baton moves for one default-policy ping-pong on skx-impi
+#: (64 KiB eager limit): 1 KiB eager and 128 KiB rendezvous, per scheme.
+PINGPONG_THREAD_SWITCHES = {
+    1024: {
+        "reference": 89, "copying": 89, "buffered": 89, "vector": 89,
+        "subarray": 89, "onesided": 139, "packing-element": 91,
+        "packing-vector": 93,
+    },
+    131072: {
+        "reference": 129, "copying": 131, "buffered": 91, "vector": 131,
+        "subarray": 131, "onesided": 139, "packing-element": 131,
+        "packing-vector": 131,
+    },
+}
+
+
+@pytest.mark.parametrize("message_bytes", sorted(PINGPONG_THREAD_SWITCHES))
+def test_pingpong_thread_switches_pinned(monkeypatch, message_bytes):
+    jobs = []
+    run_mpi = pingpong_module.run_mpi
+
+    def recording_run_mpi(*args, **kwargs):
+        jobs.append(run_mpi(*args, **kwargs))
+        return jobs[-1]
+
+    monkeypatch.setattr(pingpong_module, "run_mpi", recording_run_mpi)
+    layout = StridedLayout(nblocks=message_bytes // 8)
+    counts = {}
+    for scheme in PAPER_ORDER:
+        run_pingpong(scheme, layout, "skx-impi")
+        counts[scheme] = jobs[-1].thread_switches
+    assert counts == PINGPONG_THREAD_SWITCHES[message_bytes]
