@@ -669,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run every registered gate")
         pp.add_argument("--option", action="append", metavar="KEY=VALUE",
                         help="override a gate option, e.g. "
-                             "exec.min_cache_speedup=5 or kernels.repeats=3 "
+                             "exec.min_cache_speedup=5 or plan.repeats=3 "
                              "(a key no selected gate reads is an error)")
         pp.add_argument("--ledger-dir", default=None,
                         help="ledger root (default: <cache dir>/perf-ledger)")

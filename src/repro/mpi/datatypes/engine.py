@@ -5,20 +5,20 @@ one-sided transfers, and the manual-copy benchmark scheme all funnel
 through these two functions, so datatype correctness is tested in one
 place.
 
-Since the :mod:`.plan` refactor these are thin wrappers over a
-:class:`~repro.mpi.datatypes.plan.TransferPlan` — callers that move the
-same ``(datatype, count)`` repeatedly pass their cached plan (or let
-:func:`~repro.mpi.datatypes.plan.plan_for` fetch it) and skip the
-re-flattening entirely.
+These are thin wrappers over the checked
+:meth:`~repro.mpi.datatypes.plan.TransferPlan.pack_into` /
+:meth:`~repro.mpi.datatypes.plan.TransferPlan.unpack_from` — callers
+that move the same ``(datatype, count)`` repeatedly pass their cached
+plan (or let :func:`~repro.mpi.datatypes.plan.plan_for` fetch it) and
+skip the re-flattening entirely.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import PackError
 from .datatype import Datatype
-from .plan import TransferPlan, _as_bytes, plan_for
+from .plan import TransferPlan, plan_for
 
 __all__ = ["pack_bytes", "unpack_bytes", "check_fits"]
 
@@ -43,18 +43,9 @@ def pack_bytes(
 
     Returns the number of bytes written (``dtype.size * count``).
     """
-    src_b = _as_bytes(src, "src")
-    dst_b = _as_bytes(dst, "dst")
     if plan is None:
         plan = plan_for(dtype, count)
-    total = plan.nbytes
-    if dst_offset < 0 or dst_offset + total > dst_b.size:
-        raise PackError(
-            f"pack of {total} bytes at offset {dst_offset} overflows "
-            f"{dst_b.size}-byte destination"
-        )
-    plan.check_fits(src_b.size, "pack")
-    return plan.gather(src_b, dst_b, dst_offset)
+    return plan.pack_into(src, dst, dst_offset)
 
 
 def unpack_bytes(
@@ -71,15 +62,6 @@ def unpack_bytes(
 
     Returns the number of bytes consumed.
     """
-    src_b = _as_bytes(src, "src")
-    dst_b = _as_bytes(dst, "dst")
     if plan is None:
         plan = plan_for(dtype, count)
-    total = plan.nbytes
-    if src_offset < 0 or src_offset + total > src_b.size:
-        raise PackError(
-            f"unpack of {total} bytes at offset {src_offset} overruns "
-            f"{src_b.size}-byte source"
-        )
-    plan.check_fits(dst_b.size, "unpack")
-    return plan.scatter(src_b, src_offset, dst_b)
+    return plan.unpack_from(src, src_offset, dst)

@@ -25,7 +25,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ....machine.access import AccessPattern
-from ..runs import ContigRun, IrregularRuns, Run, StridedRuns, combine_patterns
+from ..runs import (
+    ContigRun,
+    IrregularRuns,
+    Run,
+    StridedRuns,
+    combine_patterns,
+    gather_runs,
+    scatter_runs,
+)
 
 __all__ = [
     "CopyOp",
@@ -260,14 +268,8 @@ class Program:
 
     def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int = 0) -> int:
         """Pack the program's bytes from ``src`` into ``dst``."""
-        pos = dst_offset
-        for run in self.to_runs():
-            pos += run.gather(src, dst, pos)
-        return pos - dst_offset
+        return gather_runs(self.to_runs(), src, dst, dst_offset)
 
     def scatter(self, src: np.ndarray, src_offset: int, dst: np.ndarray) -> int:
         """Unpack a packed buffer back into the program's layout."""
-        pos = src_offset
-        for run in self.to_runs():
-            pos += run.scatter(src, pos, dst)
-        return pos - src_offset
+        return scatter_runs(self.to_runs(), src, src_offset, dst)

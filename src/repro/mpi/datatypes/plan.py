@@ -13,6 +13,11 @@ of once per call.  This is the simulated analogue of a compiled
 dataloop / canonical datatype representation (cf. TEMPI,
 arXiv:2012.14363).
 
+A plan moves its bytes through one path whatever its run count: the
+per-run loop of :func:`~repro.mpi.datatypes.runs.gather_runs` /
+:func:`~repro.mpi.datatypes.runs.scatter_runs`, each run copying its
+own blocks with vectorized numpy copies.
+
 Lifecycle: plans are snapshots.  ``Datatype.Commit()`` populates the
 cache for ``count=1``; ``Free()`` evicts every entry of that datatype,
 but any transfer already holding a plan keeps working — the same
@@ -31,10 +36,8 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from ...machine.access import AccessPattern, contiguous_pattern
-from ...obs import host as _host
 from ..errors import DatatypeError, PackError
-from .batch import BatchTable, gather_runs, scatter_runs
-from .runs import Run, combine_patterns
+from .runs import Run, combine_patterns, gather_runs, scatter_runs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...obs.metrics import MetricsRegistry
@@ -52,14 +55,6 @@ __all__ = [
     "DEFAULT_PLAN_CACHE_CAPACITY",
 ]
 
-#: Multi-run plans with fewer runs than this use the per-run loop: the
-#: batch table's fixed setup/indexing cost is amortized over runs, not
-#: bytes, so at few runs the loop's handful of vectorized strided
-#: copies wins (measured ~2.5x at 4 runs; crossover near 16; the table
-#: is ~100x faster by 4096 runs).  Both paths are byte-identical, so the
-#: cutoff affects wall-clock only.
-BATCH_RUN_CUTOFF = 16
-
 #: Default bound on cached plans across all datatypes.  Each entry is a
 #: handful of small objects (runs are O(1) or shared numpy arrays), so
 #: the bound exists to cap pathological workloads (a fresh count per
@@ -68,20 +63,20 @@ DEFAULT_PLAN_CACHE_CAPACITY = 512
 
 
 def _as_bytes(buf: np.ndarray, name: str) -> np.ndarray:
-    """Reinterpret ``buf`` as a flat uint8 view (no copy)."""
+    """Reinterpret ``buf`` as a flat uint8 view (no copy).
+
+    Datatype offsets are byte offsets into the buffer's *memory*, so the
+    buffer must be C-contiguous: a strided view would map offset ``k``
+    to the ``k``-th element rather than the ``k``-th byte, and
+    ``reshape(-1)`` of one returns a copy whose writes are lost.
+    """
     if not isinstance(buf, np.ndarray):
         raise TypeError(f"{name} must be a numpy array, got {type(buf).__name__}")
+    if not buf.flags.c_contiguous:
+        raise DatatypeError(f"{name} must be a C-contiguous buffer")
     if buf.dtype != np.uint8:
-        if not buf.flags.c_contiguous:
-            raise DatatypeError(f"{name} must be C-contiguous to be reinterpreted as bytes")
-        buf = buf.view(np.uint8).reshape(-1)
-    if buf.ndim != 1:
-        # reshape(-1) on a non-contiguous array returns a *copy*: reads
-        # would silently see stale data and writes would be lost.
-        if not buf.flags.c_contiguous:
-            raise DatatypeError(f"{name} must be C-contiguous to be flattened to bytes")
-        buf = buf.reshape(-1)
-    return buf
+        buf = buf.view(np.uint8)
+    return buf.reshape(-1)
 
 
 class TransferPlan:
@@ -103,7 +98,6 @@ class TransferPlan:
         "pattern",
         "nblocks",
         "reuses",
-        "_batch",
     )
 
     def __init__(self, datatype_name: str, count: int, elem_size: int,
@@ -120,9 +114,6 @@ class TransferPlan:
         #: Cache hits served by this plan (0 on a cold compile) — the
         #: span attribute that records plan reuse.
         self.reuses = 0
-        #: Lazily compiled whole-plan block table (plans with at least
-        #: ``BATCH_RUN_CUTOFF`` runs only).
-        self._batch = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -161,50 +152,14 @@ class TransferPlan:
     # ------------------------------------------------------------------
     # Byte movement
     # ------------------------------------------------------------------
-    def _batch_table(self) -> BatchTable:
-        """The compiled whole-plan block table (built once, reused for
-        every large-plan transfer of this plan)."""
-        batch = self._batch
-        if batch is None:
-            batch = self._batch = BatchTable(self.runs)
-        return batch
-
-    def _path(self) -> str:
-        """Which mover this plan's run count selects, counted per call
-        under ``kernel.gather.*`` / ``kernel.scatter.*`` host metrics."""
-        nruns = len(self.runs)
-        if nruns == 1:
-            return "single_run"
-        return "batched" if nruns >= BATCH_RUN_CUTOFF else "scalar"
-
     def gather(self, src_b: np.ndarray, dst_b: np.ndarray, dst_offset: int = 0) -> int:
         """Move this layout out of ``src_b`` into contiguous ``dst_b``
-        (both flat uint8); returns bytes written.
-
-        Single-run plans (the common case after coalescing) go straight
-        to the run's own vectorized movement; plans with at least
-        :data:`BATCH_RUN_CUTOFF` runs use the compiled
-        :class:`~.batch.BatchTable`, and smaller ones the per-run loop.
-        """
-        path = self._path()
-        if _host.active is not None:
-            _host.active.metrics.counter(f"kernel.gather.{path}").inc()
-        if path == "single_run":
-            return self.runs[0].gather(src_b, dst_b, dst_offset)
-        if path == "scalar":
-            return gather_runs(self.runs, src_b, dst_b, dst_offset)
-        return self._batch_table().gather(src_b, dst_b, dst_offset)
+        (both flat uint8, unchecked); returns bytes written."""
+        return gather_runs(self.runs, src_b, dst_b, dst_offset)
 
     def scatter(self, src_b: np.ndarray, src_offset: int, dst_b: np.ndarray) -> int:
         """Inverse of :meth:`gather`; returns bytes consumed."""
-        path = self._path()
-        if _host.active is not None:
-            _host.active.metrics.counter(f"kernel.scatter.{path}").inc()
-        if path == "single_run":
-            return self.runs[0].scatter(src_b, src_offset, dst_b)
-        if path == "scalar":
-            return scatter_runs(self.runs, src_b, src_offset, dst_b)
-        return self._batch_table().scatter(src_b, src_offset, dst_b)
+        return scatter_runs(self.runs, src_b, src_offset, dst_b)
 
     def pack_into(self, src: np.ndarray, dst: np.ndarray, dst_offset: int = 0) -> int:
         """Checked gather with engine semantics: validates the packed

@@ -35,6 +35,8 @@ __all__ = [
     "combine_patterns",
     "total_bytes",
     "segments_of",
+    "gather_runs",
+    "scatter_runs",
 ]
 
 #: Above this many total blocks, :func:`replicate` switches from a
@@ -431,6 +433,30 @@ def segments_of(runs: list[Run]) -> list[tuple[int, int]]:
     for run in runs:
         out.extend(run.segments())
     return out
+
+
+def gather_runs(runs: Sequence[Run], src: np.ndarray, dst: np.ndarray,
+                dst_offset: int) -> int:
+    """Move every run out of ``src`` into contiguous ``dst`` at
+    ``dst_offset``, one run at a time; returns bytes written.
+
+    The one multi-run byte mover: each run moves its own blocks with a
+    vectorized numpy copy.  Runs never overlap, so every destination
+    byte is written exactly once from the same source byte whatever the
+    order."""
+    written = dst_offset
+    for run in runs:
+        written += run.gather(src, dst, written)
+    return written - dst_offset
+
+
+def scatter_runs(runs: Sequence[Run], src: np.ndarray, src_offset: int,
+                 dst: np.ndarray) -> int:
+    """Inverse of :func:`gather_runs`; returns bytes consumed."""
+    consumed = src_offset
+    for run in runs:
+        consumed += run.scatter(src, consumed, dst)
+    return consumed - src_offset
 
 
 def combine_patterns(runs: list[Run]) -> AccessPattern:

@@ -10,8 +10,6 @@ latency histograms, covering the layers that burn real CPU seconds:
   process), chunk dispatch/complete events, a queue-depth gauge;
 * the **result store** — hit/miss/write counters and IO latency
   histograms;
-* **plan gather/scatter** — which mover each multi-run transfer took
-  (``kernel.gather.*`` / ``kernel.scatter.*``, selected by run count);
 * the **flow engine** — re-solve counts and solve-time histograms.
 
 Like the virtual-time flight recorder (PR 1), host telemetry is

@@ -5,7 +5,9 @@ engine repeat), not just the gated median.  The spread of those samples
 is the run's own noise estimate; a delta between two entries is flagged
 **significant** only when it exceeds the larger of the two runs' noise
 bands — so ``repro perf diff`` separates "the code got slower" from
-"the machine was noisy".
+"the machine was noisy".  A gate recorded in only one of the two
+entries (added or deleted between them) has nothing to compare; the
+rendered diff names it instead of dropping it silently.
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ def render_diff(a: LedgerEntry, b: LedgerEntry, deltas: list[MetricDelta]) -> st
             f"({a.machine.get('host_id')} vs {b.machine.get('host_id')}) — "
             "absolute times are not comparable"
         )
+    for side, entry, other in (("A", a, b), ("B", b, a)):
+        only = [str(g.get("gate")) for g in entry.gates if other.gate(g.get("gate")) is None]
+        if only:
+            lines.append(f"  gate(s) only in {side} ({entry.sha[:12]}): {', '.join(only)}")
     if not deltas:
         lines.append("  no common metrics to compare")
         return "\n".join(lines)

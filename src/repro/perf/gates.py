@@ -21,7 +21,7 @@ to its metrics; :func:`run_gate` turns one spec into a
 
 Gates self-register into a process-wide registry
 (:func:`register` / :func:`get_gate` / :func:`all_gates`);
-:mod:`repro.perf.workloads` populates it with the seven built-ins.
+:mod:`repro.perf.workloads` populates it with the six built-ins.
 """
 
 from __future__ import annotations

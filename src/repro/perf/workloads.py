@@ -24,9 +24,6 @@ Each gate is a :class:`~.gates.GateSpec` run by ``repro perf gate`` /
     The transport refactor's no-regression contract: an all-on-node
     64-rank halo must ride the shm transport, and its wall-clock must
     stay within noise of the pre-refactor fabric path.
-``kernel-speedup``
-    The whole-plan ``BatchTable`` gather/scatter must keep beating the
-    per-run loop on a many-run plan, byte-identically.
 ``serve-throughput``
     The sweep daemon under concurrent load: N clients submitting
     colliding grids must hit the in-flight dedup / result-store path
@@ -36,7 +33,7 @@ Each gate is a :class:`~.gates.GateSpec` run by ``repro perf gate`` /
 Workload shapes and correctness bounds are constants.  The settable
 options are ``<ns>.repeats`` for every gate, plus the few keys a gate
 lists in its checks' ``option`` or its ``options`` field
-(``exec.min_cache_speedup``, ``kernels.n_runs``, ...).
+(``exec.min_cache_speedup``, ``plan.min_speedup``, ...).
 """
 
 from __future__ import annotations
@@ -656,111 +653,6 @@ register(
                 op=">=",
                 threshold=1.0,
                 informational=("network_shm_sends",),
-            ),
-        ),
-    )
-)
-
-
-# ======================================================================
-# kernel-speedup
-# ======================================================================
-def _kernel_runs(n_runs: int) -> list:
-    """``n_runs`` contiguous runs of alternating 7/13-byte lengths."""
-    from ..mpi.datatypes.runs import ContigRun
-
-    run_lengths, run_gap = (7, 13), 3
-    runs = []
-    offset = 0
-    for i in range(n_runs):
-        length = run_lengths[i % len(run_lengths)]
-        runs.append(ContigRun(offset, length))
-        offset += length + run_gap
-    return runs
-
-
-def _kernel_measure(ctx: GateContext) -> dict[str, float]:
-    import numpy as np
-
-    from ..mpi.datatypes.batch import BatchTable, gather_runs, scatter_runs
-
-    inner = ctx.opt_int("kernels.inner_repeats", 7)
-    n_runs = ctx.opt_int("kernels.n_runs", 4096)
-
-    def best(fn) -> float:
-        t_best = float("inf")
-        for _ in range(inner):
-            t0 = time.perf_counter()
-            fn()
-            t_best = min(t_best, time.perf_counter() - t0)
-        return t_best
-
-    runs = _kernel_runs(n_runs)
-    table = BatchTable(runs)
-    span = runs[-1].max_end
-    src = np.arange(span, dtype=np.int64).view(np.uint8)[:span].copy()
-    packed_loop = np.zeros(table.total_bytes, dtype=np.uint8)
-    packed_table = np.zeros(table.total_bytes, dtype=np.uint8)
-    unpacked_loop = np.zeros(span, dtype=np.uint8)
-    unpacked_table = np.zeros(span, dtype=np.uint8)
-
-    # Warm both paths and check byte-identity on the side.
-    gather_runs(runs, src, packed_loop, 0)
-    scatter_runs(runs, packed_loop, 0, unpacked_loop)
-    table.gather(src, packed_table, 0)
-    table.scatter(packed_table, 0, unpacked_table)
-    bytes_identical = np.array_equal(packed_loop, packed_table) and np.array_equal(
-        unpacked_loop, unpacked_table
-    )
-
-    t_gather_scalar = best(lambda: gather_runs(runs, src, packed_loop, 0))
-    t_scatter_scalar = best(lambda: scatter_runs(runs, packed_loop, 0, unpacked_loop))
-    t_gather_batched = best(lambda: table.gather(src, packed_table, 0))
-    t_scatter_batched = best(lambda: table.scatter(packed_table, 0, unpacked_table))
-
-    return {
-        "gather_scalar_us": t_gather_scalar * 1e6,
-        "gather_batched_us": t_gather_batched * 1e6,
-        "scatter_scalar_us": t_scatter_scalar * 1e6,
-        "scatter_batched_us": t_scatter_batched * 1e6,
-        "gather_speedup": t_gather_scalar / t_gather_batched,
-        "scatter_speedup": t_scatter_scalar / t_scatter_batched,
-        "tiers_identical": 1.0 if bytes_identical else 0.0,
-    }
-
-
-register(
-    GateSpec(
-        name="kernel-speedup",
-        title="BatchTable gather/scatter keeps beating the per-run loop, byte-identically",
-        ns="kernels",
-        measure=_kernel_measure,
-        default_repeats=1,
-        options=("kernels.inner_repeats", "kernels.n_runs"),
-        describe=lambda ctx: {
-            "workload": f"{ctx.opt_int('kernels.n_runs', 4096)} contiguous runs "
-            "(gather/scatter)"
-        },
-        checks=(
-            GateCheck(
-                name="tier-identity",
-                metric="tiers_identical",
-                op=">=",
-                threshold=1.0,
-            ),
-            GateCheck(
-                name="gather",
-                metric="gather_speedup",
-                op=">=",
-                threshold=2.0,
-                option="kernels.min_gather_speedup",
-            ),
-            GateCheck(
-                name="scatter",
-                metric="scatter_speedup",
-                op=">=",
-                threshold=2.0,
-                option="kernels.min_gather_speedup",
             ),
         ),
     )

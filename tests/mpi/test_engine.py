@@ -13,6 +13,7 @@ from repro.mpi.datatypes import (
     INT,
     Datatype,
     check_fits,
+    compile_plan,
     make_contiguous,
     make_hvector,
     make_indexed,
@@ -136,6 +137,40 @@ class TestPackErrors:
         strided = np.arange(16, dtype=np.float64)[::2]  # 1-D, non-contiguous
         with pytest.raises(DatatypeError, match="C-contiguous"):
             pack_bytes(strided, v, 1, np.zeros(4, dtype=np.float64))
+
+    def test_strided_byte_buffers_rejected(self):
+        # Regression: a strided 1-D uint8 view used to pass, so datatype
+        # byte offsets indexed its *elements* — packing memory bytes 0
+        # and 4 for offsets 0 and 2 — and unpack wrote to those bytes too.
+        v = make_vector(2, 1, 2, BYTE).commit()
+        plan = compile_plan(v, 1)
+        strided = np.arange(16, dtype=np.uint8)[::2]
+        packed = np.zeros(2, dtype=np.uint8)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            pack_bytes(strided, v, 1, packed)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            plan.pack_into(strided, packed)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            unpack_bytes(packed, 0, strided, v, 1)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            plan.unpack_from(packed, 0, strided)
+        assert not packed.any()
+        assert np.array_equal(strided, np.arange(0, 16, 2, dtype=np.uint8))
+
+    def test_strided_packed_buffers_rejected(self):
+        # The contiguous side of a pack/unpack must be dense too.
+        v = make_vector(2, 1, 2, BYTE).commit()
+        plan = compile_plan(v, 1)
+        src = np.arange(3, dtype=np.uint8)
+        strided = np.zeros(8, dtype=np.uint8)[::2]
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            pack_bytes(src, v, 1, strided)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            plan.pack_into(src, strided)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            unpack_bytes(strided, 0, src.copy(), v, 1)
+        with pytest.raises(DatatypeError, match="C-contiguous"):
+            plan.unpack_from(strided, 0, src.copy())
 
     def test_negative_displacement_rejected(self):
         from repro.mpi.datatypes import make_hindexed

@@ -1,10 +1,14 @@
-"""Differential suite for multi-run gather/scatter.
+"""Differential suite for multi-run gather/scatter across the layers.
 
-The whole-plan :class:`BatchTable` must be *byte-identical* to the
-per-run loop (:func:`gather_runs` / :func:`scatter_runs`) on every plan
-the datatype constructors can produce — same packed bytes, same
-unpacked buffer, same return values, at every destination offset —
-whichever of the two a plan's run count selects in production.
+Three layers move a derived type's blocks: the compiled
+:class:`TransferPlan`, the transfer-IR :class:`Program` (naive lowering
+and fully canonicalized), and the checked entry points comm paths call
+(``TransferPlan.pack_into``/``unpack_from`` and the engine's
+``pack_bytes``/``unpack_bytes``).  All of them must be *byte-identical*
+on every plan the datatype constructors can produce — same packed
+bytes, same unpacked buffer, same return values, at every destination
+offset.  The segment-list oracle itself is checked in
+``test_plan_property``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi.datatypes import Datatype, compile_plan
-from repro.mpi.datatypes.batch import BatchTable, gather_runs, scatter_runs
-from repro.mpi.datatypes.runs import ContigRun, IrregularRuns, StridedRuns
+from repro.mpi.datatypes.engine import pack_bytes, unpack_bytes
+from repro.mpi.datatypes.ir import lower, run_pipeline
 
 from .ir.strategies import COUNTS, DERIVED
 
@@ -34,26 +38,28 @@ def test_gather_scatter_bit_identical_across_tiers(
     dtype.commit()
     try:
         plan = compile_plan(dtype, count)
+        naive = lower(dtype, count)
+        movers = (plan, naive, run_pipeline(naive).program)
         span = max(plan.max_end, 1)
         src = _filled(span)
 
-        table = BatchTable(plan.runs)
+        # Gather into an offset destination through every layer.
+        packed = []
+        for mover in movers:
+            out = np.zeros(plan.nbytes + dst_offset, dtype=np.uint8)
+            assert mover.gather(src, out, dst_offset) == plan.nbytes
+            packed.append(out)
+        for out in packed[1:]:
+            assert np.array_equal(out, packed[0])
 
-        # Gather into an offset destination, both paths.
-        packed_s = np.zeros(plan.nbytes + dst_offset, dtype=np.uint8)
-        packed_b = np.zeros_like(packed_s)
-        n_s = gather_runs(plan.runs, src, packed_s, dst_offset)
-        n_b = table.gather(src, packed_b, dst_offset)
-        assert n_s == n_b == plan.nbytes
-        assert np.array_equal(packed_s, packed_b)
-
-        # Scatter back from the same offset, both paths.
-        back_s = np.zeros(span, dtype=np.uint8)
-        back_b = np.zeros(span, dtype=np.uint8)
-        m_s = scatter_runs(plan.runs, packed_s, dst_offset, back_s)
-        m_b = table.scatter(packed_b, dst_offset, back_b)
-        assert m_s == m_b == plan.nbytes
-        assert np.array_equal(back_s, back_b)
+        # Scatter back from the same offset through every layer.
+        backs = []
+        for mover in movers:
+            back = np.zeros(span, dtype=np.uint8)
+            assert mover.scatter(packed[0], dst_offset, back) == plan.nbytes
+            backs.append(back)
+        for back in backs[1:]:
+            assert np.array_equal(back, backs[0])
     finally:
         dtype.free()
 
@@ -63,72 +69,31 @@ def test_gather_scatter_bit_identical_across_tiers(
 def test_checked_pack_unpack_bit_identical_across_tiers(
     dtype: Datatype, count: int
 ):
-    """The checked engine entry points (``pack_into``/``unpack_from``),
-    which is what comm paths call, move exactly the bytes of both
-    multi-run paths, whichever one the plan's run count selects."""
+    """The checked entry points (``pack_into``/``unpack_from`` and the
+    engine functions that delegate to them), which is what comm paths
+    call, move exactly the bytes of the unchecked plan movers."""
     dtype.commit()
     try:
         plan = compile_plan(dtype, count)
         span = max(plan.max_end, 1)
         src = _filled(span)
-        table = BatchTable(plan.runs)
 
         packed = np.zeros(plan.nbytes, dtype=np.uint8)
-        packed_s = np.zeros_like(packed)
-        packed_b = np.zeros_like(packed)
-        plan.pack_into(src, packed)
-        gather_runs(plan.runs, src, packed_s, 0)
-        table.gather(src, packed_b, 0)
-        assert np.array_equal(packed, packed_s)
-        assert np.array_equal(packed, packed_b)
+        packed_p = np.zeros_like(packed)
+        packed_e = np.zeros_like(packed)
+        plan.gather(src, packed, 0)
+        assert plan.pack_into(src, packed_p) == plan.nbytes
+        assert pack_bytes(src, dtype, count, packed_e) == plan.nbytes
+        assert np.array_equal(packed, packed_p)
+        assert np.array_equal(packed, packed_e)
 
         back = np.zeros(span, dtype=np.uint8)
-        back_s = np.zeros(span, dtype=np.uint8)
-        back_b = np.zeros(span, dtype=np.uint8)
-        plan.unpack_from(packed, 0, back)
-        scatter_runs(plan.runs, packed, 0, back_s)
-        table.scatter(packed, 0, back_b)
-        assert np.array_equal(back, back_s)
-        assert np.array_equal(back, back_b)
+        back_p = np.zeros(span, dtype=np.uint8)
+        back_e = np.zeros(span, dtype=np.uint8)
+        plan.scatter(packed, 0, back)
+        assert plan.unpack_from(packed, 0, back_p) == plan.nbytes
+        assert unpack_bytes(packed, 0, back_e, dtype, count) == plan.nbytes
+        assert np.array_equal(back, back_p)
+        assert np.array_equal(back, back_e)
     finally:
         dtype.free()
-
-
-class TestBatchTable:
-    """Unit coverage of the compiled whole-plan block table itself."""
-
-    RUNS = [
-        ContigRun(3, 5),
-        StridedRuns(offset=16, count=3, blocklen=2, stride=7),
-        IrregularRuns(offsets=(40, 50, 61), lengths=(4, 1, 4)),
-        ContigRun(70, 1),
-    ]
-
-    def test_table_shape(self):
-        table = BatchTable(self.RUNS)
-        assert table.nblocks == 1 + 3 + 3 + 1
-        assert table.total_bytes == sum(r.total_bytes for r in self.RUNS)
-
-    def test_matches_scalar_run_loop(self):
-        table = BatchTable(self.RUNS)
-        span = max(r.max_end for r in self.RUNS)
-        src = _filled(span)
-
-        ref = np.zeros(table.total_bytes + 5, dtype=np.uint8)
-        assert gather_runs(self.RUNS, src, ref, 5) == table.total_bytes
-        got = np.zeros_like(ref)
-        assert table.gather(src, got, 5) == table.total_bytes
-        assert np.array_equal(got, ref)
-
-        ref_back = np.zeros(span, dtype=np.uint8)
-        assert scatter_runs(self.RUNS, ref, 5, ref_back) == table.total_bytes
-        got_back = np.zeros(span, dtype=np.uint8)
-        assert table.scatter(got, 5, got_back) == table.total_bytes
-        assert np.array_equal(got_back, ref_back)
-
-    def test_empty_run_list(self):
-        table = BatchTable([])
-        assert table.nblocks == 0 and table.total_bytes == 0
-        buf = np.zeros(4, dtype=np.uint8)
-        assert table.gather(buf, buf, 0) == 0
-        assert table.scatter(buf, 0, buf) == 0

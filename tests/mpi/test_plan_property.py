@@ -4,7 +4,11 @@ equivalent to the uncompiled datatype across random layouts.
 The oracle is ``segments_of`` — the materialized (offset, length) list
 — applied one segment at a time; the plan's vectorized gather/scatter
 must move exactly those bytes, and its pattern must equal what
-``Datatype.access_pattern`` computes from scratch.
+``Datatype.access_pattern`` computes from scratch.  Both the unchecked
+movers (``gather``/``scatter``) and the checked entry points comm paths
+call (``pack_into``/``unpack_from``) are compared, at every packed-buffer
+offset from 0 to 17, over this module's layouts and every constructor
+the transfer-IR strategies generate.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from repro.mpi.datatypes import (
     make_vector,
     segments_of,
 )
+
+from .ir.strategies import DERIVED as IR_DERIVED
 
 BASE = st.sampled_from([DOUBLE, INT])
 
@@ -74,9 +80,13 @@ def resized_types(draw) -> Datatype:
 DERIVED = st.one_of(vector_types(), indexed_types(), struct_types(), resized_types())
 
 
-@settings(max_examples=60, deadline=None)
-@given(dtype=DERIVED, count=st.integers(0, 4))
-def test_plan_matches_segment_reference(dtype: Datatype, count: int):
+@settings(max_examples=120, deadline=None)
+@given(
+    dtype=st.one_of(DERIVED, IR_DERIVED),
+    count=st.integers(0, 4),
+    offset=st.integers(0, 17),
+)
+def test_plan_matches_segment_reference(dtype: Datatype, count: int, offset: int):
     dtype.commit()
     try:
         plan = compile_plan(dtype, count)
@@ -90,20 +100,27 @@ def test_plan_matches_segment_reference(dtype: Datatype, count: int):
         assert plan.min_offset == (min(o for o, _ in segs) if segs else 0)
 
         src = (np.arange(max(span, 1), dtype=np.int64) % 251).astype(np.uint8)
-        packed = np.zeros(plan.nbytes, dtype=np.uint8)
-        assert plan.gather(src, packed) == plan.nbytes
         ref = np.concatenate(
             [src[o : o + n] for o, n in segs] or [np.empty(0, np.uint8)]
         )
-        assert np.array_equal(packed, ref)
+        packed = np.zeros(offset + plan.nbytes, dtype=np.uint8)
+        assert plan.gather(src, packed, offset) == plan.nbytes
+        assert not packed[:offset].any()
+        assert np.array_equal(packed[offset:], ref)
+        checked = np.zeros_like(packed)
+        assert plan.pack_into(src, checked, offset) == plan.nbytes
+        assert np.array_equal(checked, packed)
 
-        back = np.zeros(max(span, 1), dtype=np.uint8)
-        assert plan.scatter(packed, 0, back) == plan.nbytes
-        ref_back = np.zeros_like(back)
-        pos = 0
+        ref_back = np.zeros(max(span, 1), dtype=np.uint8)
+        pos = offset
         for off, length in segs:
             ref_back[off : off + length] = packed[pos : pos + length]
             pos += length
+        back = np.zeros_like(ref_back)
+        assert plan.scatter(packed, offset, back) == plan.nbytes
         assert np.array_equal(back, ref_back)
+        checked_back = np.zeros_like(ref_back)
+        assert plan.unpack_from(packed, offset, checked_back) == plan.nbytes
+        assert np.array_equal(checked_back, ref_back)
     finally:
         dtype.free()

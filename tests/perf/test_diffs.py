@@ -103,6 +103,20 @@ class TestDiff:
         b = entry("b" * 40, [gate("h", {"y": 1.0})])
         assert "no common metrics" in render_diff(a, b, diff_entries(a, b))
 
+    def test_gates_in_one_entry_only_are_named(self):
+        a = entry("a" * 40, [gate("g", {"x": 1.0}), gate("old", {"y": 1.0})])
+        b = entry("b" * 40, [gate("g", {"x": 1.0}), gate("new", {"z": 1.0})])
+        deltas = diff_entries(a, b)
+        assert [(d.gate, d.metric) for d in deltas] == [("g", "x")]
+        text = render_diff(a, b, deltas)
+        assert f"gate(s) only in A ({'a' * 12}): old" in text
+        assert f"gate(s) only in B ({'b' * 12}): new" in text
+
+    def test_same_gates_print_no_only_in_line(self):
+        a = entry("a" * 40, [gate("g", {"x": 1.0})])
+        b = entry("b" * 40, [gate("g", {"x": 2.0})])
+        assert "only in" not in render_diff(a, b, diff_entries(a, b))
+
     def test_significant_changes_listed_first(self):
         a = entry("a" * 40, [gate("g", {"big": 1.0, "tiny": 1.0})])
         b = entry(

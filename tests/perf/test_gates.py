@@ -219,19 +219,18 @@ class TestContext:
 
 class TestBuiltinRegistry:
     def test_the_five_legacy_guards_are_registered(self):
-        assert set(gate_names()) >= {
+        assert set(gate_names()) == {
             "tracing-overhead",
             "plan-speedup",
             "exec-speedup",
             "contention-overhead",
             "shm-overhead",
-            "kernel-speedup",
             "serve-throughput",
         }
         assert [s.name for s in all_gates()] == gate_names()
 
     def test_get_gate_unknown_lists_available(self):
-        with pytest.raises(LookupError, match="kernel-speedup"):
+        with pytest.raises(LookupError, match="plan-speedup"):
             get_gate("definitely-not-a-gate")
 
 
@@ -247,10 +246,6 @@ class TestOptions:
         "contention.repeats",
         "contention.max_overhead",
         "shm.repeats",
-        "kernels.repeats",
-        "kernels.inner_repeats",
-        "kernels.n_runs",
-        "kernels.min_gather_speedup",
         "serve.repeats",
     }
 
@@ -278,9 +273,9 @@ class TestOptions:
     @pytest.mark.parametrize(
         "gate, key",
         [
-            ("kernel-speedup", "kernels.min_gather_sped"),  # typo
+            ("plan-speedup", "plan.min_sped"),  # typo
             ("exec-speedup", "exec.min_identity"),  # removed correctness key
-            ("kernel-speedup", "exec.min_cache_speedup"),  # gate not selected
+            ("plan-speedup", "exec.min_cache_speedup"),  # gate not selected
         ],
     )
     def test_unknown_keys_are_rejected_with_the_valid_ones(self, gate, key):

@@ -27,12 +27,14 @@ def entry(sha: str, *, passed: bool = True) -> LedgerEntry:
         model_version=MODEL_VERSION,
         gates=(
             {
-                "gate": "kernel-speedup",
+                "gate": "plan-speedup",
                 "passed": passed,
-                "metrics": {"gather_speedup": 12.0},
-                "samples": {"gather_speedup": [11.0, 12.0, 13.0]},
+                "metrics": {"speedup": 12.0},
+                "samples": {"speedup": [11.0, 12.0, 13.0]},
                 "informational": [],
-                "checks": [{"name": "gather", "skipped": False, "passed": passed}],
+                "checks": [
+                    {"name": "plan-cache-speedup", "skipped": False, "passed": passed}
+                ],
                 "seconds": 1.0,
             },
         ),
@@ -75,7 +77,7 @@ class TestLedgerRoundtrip:
         assert path == tmp_path / "ledger.jsonl"
         (loaded,) = ledger.entries()
         assert loaded == e
-        assert loaded.gate("kernel-speedup")["metrics"]["gather_speedup"] == 12.0
+        assert loaded.gate("plan-speedup")["metrics"]["speedup"] == 12.0
         assert loaded.gate("nope") is None
         assert loaded.passed()
 
@@ -128,9 +130,9 @@ class TestResolve:
 
     def test_describe_marks_skips_and_failures(self, tmp_path):
         ok = entry("a" * 40)
-        assert "kernel-speedup=ok" in ok.describe()
+        assert "plan-speedup=ok" in ok.describe()
         bad = entry("b" * 40, passed=False)
-        assert "kernel-speedup=FAIL" in bad.describe()
+        assert "plan-speedup=FAIL" in bad.describe()
         skipped = LedgerEntry(
             sha="c" * 40,
             recorded_at="2026-08-08T00:00:00+00:00",
