@@ -499,8 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk result store (see 'repro cache')")
         p.add_argument("--host-trace", metavar="PATH", default=None,
-                       help="record host-side telemetry (worker lanes, store "
-                            "IO, gather/scatter paths) and write a Chrome trace to PATH")
+                       help="write a Chrome trace of host wall-clock time to "
+                            "PATH: a span per executed cell, or under --jobs "
+                            "one lane per worker with its chunk spans plus "
+                            "chunk dispatch/complete and queue-depth events")
 
     def add_sweep_options(p: argparse.ArgumentParser, with_platform: bool = True) -> None:
         if with_platform:

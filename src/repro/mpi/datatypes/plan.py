@@ -16,7 +16,12 @@ arXiv:2012.14363).
 A plan moves its bytes through one path whatever its run count: the
 per-run loop of :func:`~repro.mpi.datatypes.runs.gather_runs` /
 :func:`~repro.mpi.datatypes.runs.scatter_runs`, each run copying its
-own blocks with vectorized numpy copies.
+own blocks with vectorized numpy copies.  Strided and irregular runs
+copy unsigned words of the widest width in {8, 4, 2, 1} bytes that
+divides their offsets, block lengths, stride and the pack-buffer offset
+(the runs module's word-width rule, after TEMPI's word-sized pack
+kernels), so the cost model's :class:`AccessPattern` — which never
+reads the width — prices the same plan whichever width moves it.
 
 Lifecycle: plans are snapshots.  ``Datatype.Commit()`` populates the
 cache for ``count=1``; ``Free()`` evicts every entry of that datatype,

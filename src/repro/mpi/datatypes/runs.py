@@ -13,6 +13,16 @@ Runs do the actual byte movement (:meth:`gather` / :meth:`scatter`) via
 vectorized numpy operations, and summarize themselves as
 :class:`~repro.machine.access.AccessPattern` for the cost model.  All
 offsets are bytes relative to the communication buffer's origin.
+
+Word-width rule: the strided and irregular movers copy unsigned
+``w``-byte words, ``w`` being the widest of 8, 4, 2 and 1 that divides
+every block offset, block length, stride and pack-buffer offset the
+copy touches (:func:`_word_width`), so each word sits at a multiple of
+``w`` from its buffer's start.  The paper's stride-2 doubles thus move
+as ``uint64`` words, not one byte at a time; ``w = 1`` is the byte
+copy, inside the same code.  Unsigned-word copies keep every bit, so the
+bytes moved do not depend on ``w``.  TEMPI (arXiv:2012.14363) picks its
+pack kernel's word size from the same facts.
 """
 
 from __future__ import annotations
@@ -42,6 +52,29 @@ __all__ = [
 #: Above this many total blocks, :func:`replicate` switches from a
 #: Python list of shifted runs to a single vectorized IrregularRuns.
 _REPLICATE_FOLD_LIMIT = 4096
+
+#: The unsigned word type of each copy width.
+_WORDS = {w: np.dtype(f"u{w}") for w in (1, 2, 4, 8)}
+
+
+def _word_width(*values: int) -> int:
+    """The widest word in {8, 4, 2, 1} bytes that divides every value.
+
+    OR-ing the values keeps the lowest set bit of each (also for
+    negative strides), so one test per width suffices."""
+    bits = 0
+    for value in values:
+        bits |= value
+    for w in (8, 4, 2):
+        if bits % w == 0:
+            return w
+    return 1
+
+
+def _words(buf: np.ndarray, w: int) -> np.ndarray:
+    """Flat uint8 ``buf`` as unsigned ``w``-byte words (no copy); a
+    trailing partial word is left out.  Read-only stays read-only."""
+    return buf[: buf.size - buf.size % w].view(_WORDS[w])
 
 
 @dataclass(frozen=True)
@@ -101,6 +134,9 @@ class StridedRuns:
 
     ``stride`` may exceed, equal (degenerate contiguous — prefer
     :func:`coalesce`), or even be negative; blocks must not overlap.
+    Gather/scatter copy all blocks at once through a ``(count,
+    blocklen // w)`` view of ``w``-byte words (the module's word-width
+    rule) against the packed slice viewed as the same words.
     """
 
     offset: int
@@ -143,29 +179,29 @@ class StridedRuns:
         for i in range(self.count):
             yield (self.offset + i * self.stride, self.blocklen)
 
-    def _strided_view(self, buf: np.ndarray) -> np.ndarray:
-        """A (count, blocklen) byte view of the blocks inside ``buf``."""
-        start = self.min_offset
-        end = self.max_end
-        window = buf[start:end]
-        first_block = self.offset - start
-        return np.lib.stride_tricks.as_strided(
-            window[first_block:],
-            shape=(self.count, self.blocklen),
-            strides=(self.stride, 1),
-            writeable=buf.flags.writeable,
+    def _blocks(self, buf: np.ndarray, w: int) -> np.ndarray:
+        """The blocks inside flat uint8 ``buf`` as a (count, blocklen // w)
+        view of ``w``-byte words (no copy; read-only if ``buf`` is)."""
+        return np.ndarray(
+            (self.count, self.blocklen // w),
+            dtype=_WORDS[w],
+            buffer=buf,
+            offset=self.offset,
+            strides=(self.stride, w),
         )
 
     def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
         n = self.total_bytes
-        view = self._strided_view(src)
-        dst[dst_offset : dst_offset + n] = view.reshape(-1)
+        w = _word_width(self.offset, self.blocklen, self.stride, dst_offset)
+        packed = dst[dst_offset : dst_offset + n].view(_WORDS[w])
+        packed.reshape(self.count, self.blocklen // w)[...] = self._blocks(src, w)
         return n
 
     def scatter(self, src: np.ndarray, src_offset: int, dst: np.ndarray) -> int:
         n = self.total_bytes
-        view = self._strided_view(dst)
-        view[...] = src[src_offset : src_offset + n].reshape(self.count, self.blocklen)
+        w = _word_width(self.offset, self.blocklen, self.stride, src_offset)
+        packed = src[src_offset : src_offset + n].view(_WORDS[w])
+        self._blocks(dst, w)[...] = packed.reshape(self.count, self.blocklen // w)
         return n
 
     def access_pattern(self) -> AccessPattern:
@@ -200,7 +236,7 @@ class IrregularRuns:
         # Pack-buffer offset of each block: exclusive prefix sum, fixed
         # by the layout, so computed once here instead of per transfer.
         self._dst = np.concatenate(([0], np.cumsum(self.lengths[:-1])))
-        self._classes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._classes: dict[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -235,42 +271,53 @@ class IrregularRuns:
         for off, length in zip(self.offsets.tolist(), self.lengths.tolist()):
             yield (off, length)
 
-    def _dst_offsets(self) -> np.ndarray:
-        """Pack-buffer offsets of each block (exclusive prefix sum,
-        precomputed at construction)."""
-        return self._dst
+    def _length_classes(self, cap: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Blocks grouped by distinct length, in word units.
 
-    def _length_classes(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Blocks grouped by distinct length, computed once per run.
-
-        Each entry is ``(span, src_offsets, dst_offsets)`` — the
-        ``arange`` over the block length plus the per-class offset rows.
-        Only the O(nblocks) index rows are cached; the broadcast
-        (nblocks, length) matrices are still formed per transfer by the
-        fancy-indexing expression, keeping memory at payload scale.
+        Each entry is ``(w, span, src_words, dst_words)``: the class's
+        word width — the widest dividing its length, its offsets, its
+        pack-buffer offsets and ``cap`` (the width of the transfer's
+        pack-buffer offset) — then the ``arange`` over the block length
+        and the per-class offset rows, all in ``w``-byte words.  Built
+        once per run and per ``cap``; only the O(nblocks) index rows are
+        cached, the broadcast (nblocks, length) index matrices are still
+        formed per transfer, keeping memory at payload scale.
         """
-        if self._classes is None:
+        classes = self._classes.get(cap)
+        if classes is None:
             classes = []
-            for length in np.unique(self.lengths):
+            for length in np.unique(self.lengths).tolist():
                 mask = self.lengths == length
+                offs = self.offsets[mask]
+                dsts = self._dst[mask]
+                w = _word_width(
+                    cap, length,
+                    int(np.bitwise_or.reduce(offs)),
+                    int(np.bitwise_or.reduce(dsts)),
+                )
                 classes.append((
-                    np.arange(length, dtype=np.int64),
-                    self.offsets[mask],
-                    self._dst[mask],
+                    w,
+                    np.arange(length // w, dtype=np.int64),
+                    offs // w,
+                    dsts // w,
                 ))
-            self._classes = classes
-        return self._classes
+            self._classes[cap] = classes
+        return classes
 
     def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
         # Vectorize per distinct block length: one fancy-indexing gather
         # per length class instead of a Python loop per block.
-        for span, offs, dsts in self._length_classes():
-            dst[(dsts + dst_offset)[:, None] + span] = src[offs[:, None] + span]
+        for w, span, offs, dsts in self._length_classes(_word_width(dst_offset)):
+            _words(dst, w)[(dsts + dst_offset // w)[:, None] + span] = (
+                _words(src, w)[offs[:, None] + span]
+            )
         return self._total
 
     def scatter(self, src: np.ndarray, src_offset: int, dst: np.ndarray) -> int:
-        for span, offs, dsts in self._length_classes():
-            dst[offs[:, None] + span] = src[(dsts + src_offset)[:, None] + span]
+        for w, span, offs, dsts in self._length_classes(_word_width(src_offset)):
+            _words(dst, w)[offs[:, None] + span] = (
+                _words(src, w)[(dsts + src_offset // w)[:, None] + span]
+            )
         return self._total
 
     def access_pattern(self) -> AccessPattern:

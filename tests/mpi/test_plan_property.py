@@ -9,24 +9,41 @@ movers (``gather``/``scatter``) and the checked entry points comm paths
 call (``pack_into``/``unpack_from``) are compared, at every packed-buffer
 offset from 0 to 17, over this module's layouts and every constructor
 the transfer-IR strategies generate.
+
+``test_word_width_mover_matches_segments`` drives the word-width rule
+of the run movers: BYTE/SHORT/INT/DOUBLE layouts at odd and even buffer
+offsets, negative strides, misaligned and read-only buffers, and asserts
+that every copy width (1, 2, 4 and 8 bytes) was taken.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mpi.datatypes import (
+    BYTE,
     DOUBLE,
     INT,
+    SHORT,
     Datatype,
     compile_plan,
+    make_hvector,
     make_indexed,
     make_resized,
     make_struct,
     make_vector,
     segments_of,
+)
+from repro.mpi.datatypes.runs import (
+    ContigRun,
+    IrregularRuns,
+    StridedRuns,
+    _word_width,
+    gather_runs,
+    scatter_runs,
 )
 
 from .ir.strategies import DERIVED as IR_DERIVED
@@ -124,3 +141,118 @@ def test_plan_matches_segment_reference(dtype: Datatype, count: int, offset: int
         assert np.array_equal(checked_back, ref_back)
     finally:
         dtype.free()
+
+
+# ----------------------------------------------------------------------
+# Word-width movers
+
+
+WORD_BASE = st.sampled_from([BYTE, SHORT, INT, DOUBLE])
+
+
+@st.composite
+def word_layouts(draw) -> Datatype:
+    """Vectors (element or byte strides, either sign) and irregular
+    indexed types over 1-, 2-, 4- and 8-byte elements."""
+    base = draw(WORD_BASE)
+    kind = draw(st.sampled_from(["vector", "hvector", "indexed"]))
+    count = draw(st.integers(2, 6))
+    blocklen = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "vector":
+        return make_vector(count, blocklen, sign * (blocklen + draw(st.integers(0, 3))), base)
+    if kind == "hvector":
+        gap = draw(st.integers(0, 9))
+        return make_hvector(count, blocklen, sign * (blocklen * base.extent + gap), base)
+    lengths = [draw(st.integers(1, 3)) for _ in range(count)]
+    disps, pos = [], 0
+    for length in lengths:
+        pos += draw(st.integers(0, 3))
+        disps.append(pos)
+        pos += length
+    return make_indexed(lengths, disps, base)
+
+
+def _widths_taken(runs, pack_offset: int) -> set[int]:
+    """The copy width each strided/irregular run takes at its position
+    in a pack that starts at ``pack_offset``."""
+    widths, pos = set(), pack_offset
+    for run in runs:
+        if isinstance(run, StridedRuns):
+            widths.add(_word_width(run.offset, run.blocklen, run.stride, pos))
+        elif isinstance(run, IrregularRuns):
+            widths.update(w for w, *_ in run._length_classes(_word_width(pos)))
+        pos += run.total_bytes
+    return widths
+
+
+def test_word_width_mover_matches_segments():
+    widths: set[int] = set()
+
+    # The explicit examples pin one layout per width, so the final
+    # assertion never rests on what the random draws happen to reach.
+    @settings(max_examples=300, deadline=None)
+    # Arguments: dtype, count, shift, offset, misaligned, read_only.
+    @example(make_vector(4, 1, 2, DOUBLE), 2, 0, 8, False, False)   # w=8, paper layout
+    @example(make_indexed([1, 2, 1], [0, 2, 5], DOUBLE), 1, 8, 16, True, True)  # w=8
+    @example(make_vector(3, 1, 2, INT), 1, 4, 4, False, True)       # w=4
+    @example(make_vector(3, 1, -2, SHORT), 2, 2, 6, True, False)    # w=2
+    @example(make_hvector(3, 1, 9, DOUBLE), 1, 1, 3, False, False)  # w=1
+    @given(
+        dtype=word_layouts(),
+        count=st.integers(1, 3),
+        shift=st.integers(0, 9),
+        offset=st.integers(0, 17),
+        misaligned=st.booleans(),
+        read_only=st.booleans(),
+    )
+    def check(dtype, count, shift, offset, misaligned, read_only):
+        runs = dtype.flatten(count)
+        # Move the footprint to start ``shift`` bytes into the buffer:
+        # odd shifts break 2/4/8-byte alignment, even ones keep some.
+        delta = shift - min(r.min_offset for r in runs)
+        runs = [r.shifted(delta) for r in runs]
+        widths.update(_widths_taken(runs, offset))
+        segs = segments_of(runs)
+        span = max(o + n for o, n in segs)
+        nbytes = sum(n for _, n in segs)
+
+        # A misaligned source starts one byte into its allocation.
+        src = np.zeros(span + int(misaligned), np.uint8)[int(misaligned):]
+        src[:] = (np.arange(span) * 7 + 3) % 251
+        src.flags.writeable = not read_only
+        ref = np.concatenate([src[o : o + n] for o, n in segs])
+
+        packed = np.zeros(offset + nbytes, np.uint8)
+        assert gather_runs(runs, src, packed, offset) == nbytes
+        assert not packed[:offset].any()
+        assert np.array_equal(packed[offset:], ref)
+
+        ref_back = np.zeros(span, np.uint8)
+        pos = offset
+        for off, length in segs:
+            ref_back[off : off + length] = packed[pos : pos + length]
+            pos += length
+        back = np.zeros(span + int(misaligned), np.uint8)[int(misaligned):]
+        assert scatter_runs(runs, packed, offset, back) == nbytes
+        assert np.array_equal(back, ref_back)
+
+    check()
+    assert widths == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("run", [
+    ContigRun(8, 16),
+    StridedRuns(0, 4, 8, 16),                     # 8-byte words
+    StridedRuns(62, 4, 2, -20),                   # 2-byte words, negative stride
+    StridedRuns(1, 3, 3, 5),                      # bytes
+    IrregularRuns([0, 24, 8], [8, 16, 8]),        # 8-byte words
+    IrregularRuns([1, 9, 4], [2, 3, 4]),          # bytes
+])
+def test_scatter_into_read_only_destination_raises(run):
+    packed = np.arange(run.total_bytes, dtype=np.uint8)
+    dst = np.zeros(run.max_end, np.uint8)
+    dst.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        scatter_runs([run], packed, 0, dst)
+    assert not dst.any()

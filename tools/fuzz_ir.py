@@ -8,7 +8,9 @@ through the full rewrite pipeline, and cross-checks against the
 independently implemented ``compile_plan`` + ``segments_of`` path:
 
 * normalized segment lists agree;
-* gather moves byte-identical streams;
+* the IR programs' and the plan's gather and scatter move the same
+  bytes as the segment list, at pack-buffer offsets 0, 3 and 8 (so the
+  run movers take every word width the layout allows);
 * total bytes, span, and min offset agree;
 * with a platform, the cost-guarded pipeline never prices worse than
   the naive lowering.
@@ -50,8 +52,10 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.machine.registry import get_platform  # noqa: E402
 from repro.mpi.datatypes import (  # noqa: E402
+    BYTE,
     DOUBLE,
     INT,
+    SHORT,
     compile_plan,
     make_contiguous,
     make_hvector,
@@ -65,7 +69,10 @@ from repro.mpi.datatypes import (  # noqa: E402
 )
 from repro.mpi.datatypes.ir import lower, program_cost, run_pipeline  # noqa: E402
 
-BASES = {"double": DOUBLE, "int": INT}
+BASES = {"double": DOUBLE, "int": INT, "short": SHORT, "byte": BYTE}
+#: Pack-buffer offsets every case is gathered to and scattered from: 3
+#: forces byte copies on the packed side, 8 keeps 8-byte words.
+PACK_OFFSETS = (0, 3, 8)
 PLATFORM = get_platform("skx-impi")
 CORPUS_DIR = REPO / "tools" / "fuzz_corpus"
 
@@ -243,11 +250,29 @@ def check(spec: dict, count: int) -> str | None:
         ref = np.concatenate(
             [src[o:o + n] for o, n in segs] or [np.empty(0, np.uint8)]
         )
-        for name, program in (("naive", naive), ("canonical", canonical)):
-            packed = np.zeros(program.nbytes, dtype=np.uint8)
-            program.gather(src, packed)
-            if not np.array_equal(packed, ref):
-                return f"{name}: gathered bytes diverge from segment oracle"
+        for pack_offset in PACK_OFFSETS:
+            packed = np.zeros(pack_offset + plan.nbytes, dtype=np.uint8)
+            packed[pack_offset:] = ref
+            ref_back = np.zeros(max(span, 1), dtype=np.uint8)
+            pos = pack_offset
+            for o, n in segs:
+                ref_back[o:o + n] = packed[pos:pos + n]
+                pos += n
+            # The plan's own movers too: at these sizes only the plan's
+            # runs hold IrregularRuns (the naive lowering expands blocks
+            # one op each below its op limit).
+            for name, program in (("plan", plan), ("naive", naive),
+                                  ("canonical", canonical)):
+                out = np.zeros_like(packed)
+                program.gather(src, out, pack_offset)
+                if not np.array_equal(out, packed):
+                    return (f"{name}: gathered bytes at pack offset {pack_offset} "
+                            f"diverge from segment oracle")
+                back = np.zeros_like(ref_back)
+                program.scatter(packed, pack_offset, back)
+                if not np.array_equal(back, ref_back):
+                    return (f"{name}: scattered bytes from pack offset {pack_offset} "
+                            f"diverge from segment oracle")
 
         if (program_cost(canonical, PLATFORM)
                 > program_cost(naive, PLATFORM) * (1 + 1e-12)):
