@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .analysis.claims import check_platform_claims
 from .analysis.figures import FIGURES, generate_figure
@@ -245,24 +246,35 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(command: str, message: object) -> NoReturn:
+    """Exit with status 2 and argparse's one-line error, no traceback."""
+    print(f"repro-mpi {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_advise(args: argparse.Namespace) -> int:
     from .core.layout import IrregularLayout, strided_for_bytes
     from .mpi.datatypes.ir import advise_datatype
+    from .mpi.errors import DatatypeError
 
-    base = strided_for_bytes(args.bytes, blocklen=args.blocklen, stride=args.stride)
-    if args.datatype == "indexed":
-        layout = IrregularLayout(nblocks=base.nblocks, blocklen=base.blocklen,
-                                 stride=base.stride, jitter=args.jitter)
-        dtype = layout.make_datatype()
-    elif args.datatype == "subarray":
-        dtype = base.make_subarray_datatype()
+    try:
+        layout = strided_for_bytes(args.bytes, blocklen=args.blocklen, stride=args.stride)
+        if args.datatype == "indexed":
+            layout = IrregularLayout(nblocks=layout.nblocks, blocklen=layout.blocklen,
+                                     stride=layout.stride, jitter=args.jitter)
+    except ValueError as exc:
+        _usage_error("advise", f"invalid layout: {exc}")
+    if args.datatype == "subarray":
+        dtype = layout.make_subarray_datatype()
     else:
-        dtype = base.make_datatype()
+        dtype = layout.make_datatype()
     transport, transport_note = _advise_transport(args)
     try:
         advice = advise_datatype(
             dtype, count=args.count, platform=args.platform, transport=transport
         )
+    except DatatypeError as exc:
+        _usage_error("advise", exc)
     finally:
         dtype.free()
     print(advice.render())

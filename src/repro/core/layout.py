@@ -170,6 +170,8 @@ def strided_for_bytes(message_bytes: int, *, blocklen: int = 1, stride: int | No
     """
     if message_bytes <= 0:
         raise ValueError("message_bytes must be positive")
+    if blocklen <= 0:
+        raise ValueError("blocklen must be positive")
     if stride is None:
         stride = 2 * blocklen
     nblocks = max(1, message_bytes // (_ELEM * blocklen))

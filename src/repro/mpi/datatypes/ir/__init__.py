@@ -1,13 +1,15 @@
-"""Transfer IR: canonical ops, verified rewrite passes, and cost-driven
-scheme selection over derived datatypes.
+"""Transfer IR: programs as run lists, verified rewrite passes, and
+cost-driven scheme selection over derived datatypes.
 
-See :mod:`.ops` for the op grammar, :mod:`.lower` for structural
-lowering, :mod:`.passes` for the rewrite pipeline, and :mod:`.select`
-for pricing/advice.  ``docs/datatypes.md`` has the narrative.
+See :mod:`.ops` for the program (an ordered list of the run layer's
+``ContigRun``/``StridedRuns``/``IrregularRuns``), :mod:`.lower` for
+structural lowering, :mod:`.passes` for the rewrite pipeline, and
+:mod:`.select` for pricing/advice.  ``docs/datatypes.md`` has the
+narrative.
 """
 
 from .lower import NAIVE_OP_LIMIT, LoweringError, lower
-from .ops import CopyOp, IndexedOp, Op, Program, StridedOp, normalized_segments
+from .ops import Program, normalized_segments
 from .passes import (
     MAX_ROUNDS,
     PASSES,
@@ -34,16 +36,12 @@ __all__ = [
     "Advice",
     "CandidatePrice",
     "ConvergenceError",
-    "CopyOp",
-    "IndexedOp",
     "LoweringError",
     "MAX_ROUNDS",
     "NAIVE_OP_LIMIT",
-    "Op",
     "PASSES",
     "PipelineResult",
     "Program",
-    "StridedOp",
     "advise_datatype",
     "advise_layout",
     "coalesce_copies",

@@ -1,29 +1,30 @@
 """Rewrite passes: naive IR → canonical IR, one verified step at a time.
 
-Every pass is a pure function ``Program -> Program`` with the same
-equivalence invariant: the program's *normalized segments* (see
+Every pass is a pure function ``Program -> Program`` over the program's
+run list, with the same equivalence invariant: the program's
+*normalized segments* (see
 :func:`~repro.mpi.datatypes.ir.ops.normalized_segments`) are unchanged,
 so the rewritten program gathers and scatters byte-identical streams.
 Each pass is also idempotent, and the full pipeline terminates: any
 accepted rewrite strictly decreases the lexicographic measure
-``(op count, op-kind rank sum, total block count)`` — with
-Copy < Strided < Indexed — so a fixed point is reached within a
+``(run count, run-kind rank sum, total block count)`` — with
+Contig < Strided < Irregular — so a fixed point is reached within a
 bounded number of rounds.  (The third component covers
-:func:`fold_contiguous` merging blocks *inside* one ``IndexedOp``,
-which changes neither op count nor kind.)
+:func:`fold_contiguous` merging blocks *inside* one ``IrregularRuns``,
+which changes neither run count nor kind.)
 
 The four passes:
 
-* :func:`coalesce_copies` — run coalescing: byte-adjacent ``CopyOp``
-  pairs merge into one.
+* :func:`coalesce_copies` — run coalescing: byte-adjacent ``ContigRun``
+  pairs merge into one (the run layer's :func:`~..runs.merge_contiguous`).
 * :func:`collapse_strides` — stride collapse: degenerate strided and
-  indexed ops demote to the simplest kind that represents them.
-* :func:`rows_to_vector` — subarray→vector: a train of equal rows at a
-  uniform stride fuses into one ``StridedOp``; strided trains that
-  continue each other merge.
+  irregular runs demote to the simplest kind that represents them.
+* :func:`rows_to_vector` — subarray→vector: a train of equal
+  ``ContigRun`` rows at a uniform stride fuses into one
+  ``StridedRuns``; strided trains that continue each other merge.
 * :func:`fold_contiguous` — contiguous folding: blocks inside an
-  ``IndexedOp`` that are byte-adjacent *in order* merge; a fully dense
-  result becomes a single ``CopyOp``.
+  ``IrregularRuns`` that are byte-adjacent *in order* merge; a fully
+  dense result becomes a single ``ContigRun``.
 
 :func:`run_pipeline` iterates all four to a fixed point.  Given a
 platform it additionally *cost-guards* every rewrite: a pass result is
@@ -39,9 +40,16 @@ from typing import Callable
 import numpy as np
 
 from ....machine.platform import Platform
-from ..runs import runs_from_blocks
-from .lower import _run_to_op
-from .ops import CopyOp, IndexedOp, Op, Program, StridedOp
+from ..runs import (
+    ContigRun,
+    IrregularRuns,
+    Run,
+    StridedRuns,
+    demote_strided,
+    merge_contiguous,
+    runs_from_blocks,
+)
+from .ops import Program
 
 __all__ = [
     "ConvergenceError",
@@ -61,132 +69,113 @@ class ConvergenceError(RuntimeError):
 
 
 def coalesce_copies(program: Program) -> Program:
-    """Merge byte-adjacent ``CopyOp`` pairs, in op order.
+    """Merge byte-adjacent ``ContigRun`` pairs, in run order.
 
     Invariant: normalized segments unchanged (adjacency merging is
     exactly what normalization does)."""
-    out: list[Op] = []
-    for op in program.ops:
-        prev = out[-1] if out else None
-        if (
-            isinstance(op, CopyOp)
-            and isinstance(prev, CopyOp)
-            and prev.offset + prev.length == op.offset
-        ):
-            out[-1] = CopyOp(prev.offset, prev.length + op.length)
-        else:
-            out.append(op)
-    return program.replace(out)
-
-
-def _simplify_strided(op: StridedOp) -> Op:
-    """The simplest op kind representing a strided train."""
-    if op.count == 1:
-        return CopyOp(op.offset, op.blocklen)
-    if op.stride == op.blocklen:
-        return CopyOp(op.offset, op.count * op.blocklen)
-    return op
+    return program.replace(merge_contiguous(program.ops))
 
 
 def collapse_strides(program: Program) -> Program:
-    """Demote degenerate ops to the simplest kind that represents them:
-    single-block or dense ``StridedOp`` → ``CopyOp``; an ``IndexedOp``
-    with uniform lengths and spacing → ``StridedOp`` (simplified
-    further if degenerate); a single-block ``IndexedOp`` → ``CopyOp``.
+    """Demote degenerate runs to the simplest kind that represents
+    them: single-block or dense ``StridedRuns`` → ``ContigRun``; an
+    ``IrregularRuns`` with uniform lengths and spacing → ``StridedRuns``
+    (demoted further if degenerate); a single-block ``IrregularRuns`` →
+    ``ContigRun``.
 
     Invariant: normalized segments unchanged (only the representation
-    of each op changes, never its segment list, except dense trains
+    of each run changes, never its segment list, except dense trains
     whose segments were already adjacent)."""
-    out: list[Op] = []
-    for op in program.ops:
-        if isinstance(op, StridedOp):
-            op = _simplify_strided(op)
-        elif isinstance(op, IndexedOp):
-            if op.nblocks == 1:
-                op = CopyOp(int(op.offsets[0]), int(op.lengths[0]))
+    out: list[Run] = []
+    for run in program.ops:
+        if isinstance(run, StridedRuns):
+            run = demote_strided(run)
+        elif isinstance(run, IrregularRuns):
+            if run.nblocks == 1:
+                run = ContigRun(int(run.offsets[0]), int(run.lengths[0]))
             else:
-                lengths = op.lengths
-                gaps = np.diff(op.offsets)
+                lengths = run.lengths
+                gaps = np.diff(run.offsets)
                 if (
                     np.all(lengths == lengths[0])
                     and np.all(gaps == gaps[0])
                     and abs(int(gaps[0])) >= int(lengths[0])
                 ):
-                    op = _simplify_strided(
-                        StridedOp(
-                            int(op.offsets[0]), op.nblocks, int(lengths[0]), int(gaps[0])
+                    run = demote_strided(
+                        StridedRuns(
+                            int(run.offsets[0]), run.nblocks, int(lengths[0]), int(gaps[0])
                         )
                     )
-        out.append(op)
+        out.append(run)
     return program.replace(out)
 
 
 def rows_to_vector(program: Program) -> Program:
-    """Fuse a train of ≥2 equal-length ``CopyOp`` rows at one uniform,
-    non-overlapping spacing into a single ``StridedOp`` (the
-    subarray→vector rewrite), then merge consecutive ``StridedOp``s
+    """Fuse a train of ≥2 equal-length ``ContigRun`` rows at one
+    uniform, non-overlapping spacing into a single ``StridedRuns`` (the
+    subarray→vector rewrite), then merge consecutive ``StridedRuns``
     that continue the same arithmetic progression.
 
     Invariant: normalized segments unchanged (the fused train yields
     the identical segment sequence; merging preserves it likewise)."""
-    # Stage 1: greedy maximal CopyOp trains → StridedOp.
-    fused: list[Op] = []
+    # Stage 1: greedy maximal ContigRun trains → StridedRuns.
+    fused: list[Run] = []
     i = 0
-    ops = program.ops
-    while i < len(ops):
-        op = ops[i]
-        if isinstance(op, CopyOp):
+    runs = program.ops
+    while i < len(runs):
+        run = runs[i]
+        if isinstance(run, ContigRun):
             j = i + 1
             stride = None
-            while j < len(ops):
-                nxt = ops[j]
-                if not (isinstance(nxt, CopyOp) and nxt.length == op.length):
+            while j < len(runs):
+                nxt = runs[j]
+                if not (isinstance(nxt, ContigRun) and nxt.length == run.length):
                     break
-                gap = nxt.offset - ops[j - 1].offset
-                if abs(gap) < op.length:
+                gap = nxt.offset - runs[j - 1].offset
+                if abs(gap) < run.length:
                     break  # overlapping or zero gap: not a legal train
                 if stride is None:
                     stride = gap
                 elif gap != stride:
                     break
                 j += 1
-            if j - i >= 2 and stride is not None and stride != op.length:
-                fused.append(StridedOp(op.offset, j - i, op.length, stride))
+            if j - i >= 2 and stride is not None and stride != run.length:
+                fused.append(StridedRuns(run.offset, j - i, run.length, stride))
                 i = j
                 continue
-        fused.append(op)
+        fused.append(run)
         i += 1
-    # Stage 2: merge StridedOps continuing one progression (greedy
+    # Stage 2: merge StridedRuns continuing one progression (greedy
     # left fold, so whole chains merge in a single application).
-    out: list[Op] = []
-    for op in fused:
+    out: list[Run] = []
+    for run in fused:
         prev = out[-1] if out else None
         if (
-            isinstance(op, StridedOp)
-            and isinstance(prev, StridedOp)
-            and prev.blocklen == op.blocklen
-            and prev.stride == op.stride
-            and op.offset == prev.offset + prev.count * prev.stride
+            isinstance(run, StridedRuns)
+            and isinstance(prev, StridedRuns)
+            and prev.blocklen == run.blocklen
+            and prev.stride == run.stride
+            and run.offset == prev.offset + prev.count * prev.stride
         ):
-            out[-1] = StridedOp(prev.offset, prev.count + op.count, prev.blocklen, prev.stride)
+            out[-1] = StridedRuns(prev.offset, prev.count + run.count, prev.blocklen, prev.stride)
         else:
-            out.append(op)
+            out.append(run)
     return program.replace(out)
 
 
 def fold_contiguous(program: Program) -> Program:
-    """Merge blocks inside each ``IndexedOp`` that are byte-adjacent in
-    pack order; re-represent the result in the most compact kind (a
-    fully dense block list becomes one ``CopyOp``).
+    """Merge blocks inside each ``IrregularRuns`` that are byte-adjacent
+    in pack order; re-represent the result in the most compact kind (a
+    fully dense block list becomes one ``ContigRun``).
 
     Invariant: normalized segments unchanged (in-order adjacency
     merging is the normalization rule itself)."""
-    out: list[Op] = []
-    for op in program.ops:
-        if isinstance(op, IndexedOp):
-            out.extend(_run_to_op(run) for run in runs_from_blocks(op.offsets, op.lengths))
+    out: list[Run] = []
+    for run in program.ops:
+        if isinstance(run, IrregularRuns):
+            out.extend(runs_from_blocks(run.offsets, run.lengths))
         else:
-            out.append(op)
+            out.append(run)
     return program.replace(out)
 
 

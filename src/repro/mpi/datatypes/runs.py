@@ -28,7 +28,7 @@ pack kernel's word size from the same facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "StridedRuns",
     "IrregularRuns",
     "coalesce",
+    "demote_strided",
+    "merge_contiguous",
     "replicate",
     "runs_from_blocks",
     "combine_patterns",
@@ -350,27 +352,22 @@ Run = ContigRun | StridedRuns | IrregularRuns
 # ----------------------------------------------------------------------
 # Algebra on run lists
 # ----------------------------------------------------------------------
-def coalesce(runs: list[Run]) -> list[Run]:
-    """Canonicalize a run list.
+def demote_strided(run: StridedRuns) -> Run:
+    """A degenerate strided run as the contiguous run it is: one block
+    (``count == 1``), or blocks packed edge to edge (``stride ==
+    blocklen``).  A non-degenerate run comes back unchanged."""
+    if run.count == 1:
+        return ContigRun(run.offset, run.blocklen)
+    if run.stride == run.blocklen:
+        return ContigRun(run.offset, run.count * run.blocklen)
+    return run
 
-    Merges adjacent :class:`ContigRun` pairs, collapses degenerate
-    strided runs (``stride == blocklen`` or ``count == 1``), and fuses
-    consecutive equal-length contiguous runs at a uniform spacing into a
-    single :class:`StridedRuns`.  The result touches the same bytes in
-    the same order.
-    """
-    # Pass 1: degenerate strided runs become contiguous.
-    flat: list[Run] = []
-    for run in runs:
-        if isinstance(run, StridedRuns):
-            if run.count == 1:
-                run = ContigRun(run.offset, run.blocklen)
-            elif run.stride == run.blocklen:
-                run = ContigRun(run.offset, run.count * run.blocklen)
-        flat.append(run)
-    # Pass 2: merge adjacent contiguous runs.
+
+def merge_contiguous(runs: Iterable[Run]) -> list[Run]:
+    """Merge each :class:`ContigRun` into the one before it when that
+    one is a :class:`ContigRun` ending where it starts."""
     merged: list[Run] = []
-    for run in flat:
+    for run in runs:
         prev = merged[-1] if merged else None
         if (
             isinstance(run, ContigRun)
@@ -380,6 +377,23 @@ def coalesce(runs: list[Run]) -> list[Run]:
             merged[-1] = ContigRun(prev.offset, prev.length + run.length)
         else:
             merged.append(run)
+    return merged
+
+
+def coalesce(runs: list[Run]) -> list[Run]:
+    """Canonicalize a run list.
+
+    Merges adjacent :class:`ContigRun` pairs, collapses degenerate
+    strided runs (``stride == blocklen`` or ``count == 1``), and fuses
+    consecutive equal-length contiguous runs at a uniform spacing into a
+    single :class:`StridedRuns`.  The result touches the same bytes in
+    the same order.
+    """
+    # Pass 1: degenerate strided runs become contiguous.  Pass 2: merge
+    # adjacent contiguous runs.
+    merged = merge_contiguous(
+        demote_strided(run) if isinstance(run, StridedRuns) else run for run in runs
+    )
     # Pass 3: fuse a homogeneous sequence of contiguous runs at uniform
     # spacing into one strided run.
     if len(merged) >= 2 and all(isinstance(r, ContigRun) for r in merged):
@@ -468,12 +482,12 @@ def runs_from_blocks(offsets: np.ndarray, lengths: np.ndarray) -> list[Run]:
     return [IrregularRuns(offsets, lengths)]
 
 
-def total_bytes(runs: list[Run]) -> int:
+def total_bytes(runs: Iterable[Run]) -> int:
     """Payload bytes across a run list."""
     return sum(run.total_bytes for run in runs)
 
 
-def segments_of(runs: list[Run]) -> list[tuple[int, int]]:
+def segments_of(runs: Iterable[Run]) -> list[tuple[int, int]]:
     """Every (offset, length) block, in pack order.  Testing/debug only:
     materializes the full block list."""
     out: list[tuple[int, int]] = []
@@ -506,7 +520,7 @@ def scatter_runs(runs: Sequence[Run], src: np.ndarray, src_offset: int,
     return consumed - src_offset
 
 
-def combine_patterns(runs: list[Run]) -> AccessPattern:
+def combine_patterns(runs: Sequence[Run]) -> AccessPattern:
     """Summarize a run list as one :class:`AccessPattern`."""
     if not runs:
         return AccessPattern(0, 1.0, 0, 0, 1.0)

@@ -76,6 +76,8 @@ class TestStridedForBytes:
     def test_invalid(self):
         with pytest.raises(ValueError):
             strided_for_bytes(0)
+        with pytest.raises(ValueError, match="blocklen must be positive"):
+            strided_for_bytes(4000, blocklen=0)
 
     @given(nbytes=st.integers(16, 10**7))
     @settings(max_examples=80, deadline=None)

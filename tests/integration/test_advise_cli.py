@@ -95,6 +95,26 @@ def test_advise_unknown_platform_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--bytes", "0"], "message_bytes must be positive"),
+    (["--blocklen", "0"], "blocklen must be positive"),
+    (["--stride", "1", "--blocklen", "2"], "stride must be at least blocklen"),
+    (["--datatype", "indexed", "--jitter", "1.5"], "jitter must lie in [0, 1)"),
+    (["--count", "-2"], "negative count -2"),
+])
+def test_advise_out_of_range_argument_is_a_usage_error(argv, message, capsys):
+    """Out-of-range values exit 2 with one ``error:`` line on stderr,
+    not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["advise", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "repro-mpi advise: error: " in captured.err
+    assert message in captured.err
+
+
 def test_sweep_accepts_auto_scheme(capsys):
     code = main(["sweep", "--platform", "ideal", "--min-bytes", "1000",
                  "--max-bytes", "10000", "--per-decade", "1",

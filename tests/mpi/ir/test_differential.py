@@ -102,3 +102,26 @@ def test_pattern_totals_survive_rewrites(platform: str):
         assert pattern.span_bytes == 500 * 2 * 8 - 8
     finally:
         dtype.free()
+
+
+def test_plan_keeps_its_own_lowering_across_replica_boundaries():
+    """Why ``compile_plan`` does not take the canonical program: the
+    two agree byte for byte but not block for block.  Two replicas of
+    ``hvector(2, 4, 43 B, DOUBLE)`` (extent 75 B) touch at offset 75;
+    the canonical program merges across that boundary into 3 blocks,
+    while the plan replicates the coalesced element and keeps 4.  The
+    block count feeds the cost model, so plans on the canonical
+    program would change virtual time."""
+    from repro.mpi.datatypes import DOUBLE, make_hvector
+
+    dtype = make_hvector(2, 4, 43, DOUBLE).commit()
+    try:
+        plan = compile_plan(dtype, 2)
+        canonical = run_pipeline(lower(dtype, 2)).program
+        assert canonical.normalized_segments() == merged_segments(
+            list(plan.segments())
+        )
+        assert canonical.pattern().nblocks == 3
+        assert plan.pattern.nblocks == 4
+    finally:
+        dtype.free()

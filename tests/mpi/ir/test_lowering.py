@@ -26,7 +26,8 @@ from repro.mpi.datatypes import (
     make_vector,
     segments_of,
 )
-from repro.mpi.datatypes.ir import CopyOp, LoweringError, Program, lower
+from repro.mpi.datatypes.ir import LoweringError, Program, lower
+from repro.mpi.datatypes.runs import ContigRun
 from repro.mpi.errors import DatatypeError
 
 from .strategies import DERIVED, merged_segments
@@ -92,7 +93,7 @@ def test_zero_count_is_empty_program():
 
 def test_named_type_is_single_copy():
     program = lower(DOUBLE, 3)
-    assert all(isinstance(op, CopyOp) for op in program.ops)
+    assert all(isinstance(run, ContigRun) for run in program.ops)
     assert program.nbytes == 24
     # Three adjacent doubles normalize to one span.
     assert program.normalized_segments() == [(0, 24)]

@@ -4,9 +4,9 @@ idempotent, and strictly progress-making (so the pipeline terminates).
 Equivalence is ``normalized_segments`` identity — the in-order
 adjacency-merged byte footprint, which pins both *which* bytes move and
 the order they are packed in.  The termination measure is lexicographic
-``(op count, op-kind rank sum, total block count)`` with
-Copy < Strided < Indexed: every accepted rewrite strictly decreases it,
-and it is bounded below.
+``(run count, run-kind rank sum, total block count)`` with
+Contig < Strided < Irregular: every accepted rewrite strictly decreases
+it, and it is bounded below.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ from repro.mpi.datatypes.ir import (
     MAX_ROUNDS,
     PASSES,
     ConvergenceError,
-    CopyOp,
-    IndexedOp,
     Program,
-    StridedOp,
     coalesce_copies,
     collapse_strides,
     fold_contiguous,
@@ -32,16 +29,17 @@ from repro.mpi.datatypes.ir import (
     rows_to_vector,
     run_pipeline,
 )
+from repro.mpi.datatypes.runs import ContigRun, IrregularRuns, StridedRuns
 
 from .strategies import DERIVED
 
-_KIND_RANK = {CopyOp: 0, StridedOp: 1, IndexedOp: 2}
+_KIND_RANK = {ContigRun: 0, StridedRuns: 1, IrregularRuns: 2}
 
 
 def measure(program: Program) -> tuple[int, int, int]:
     return (
         program.nops,
-        sum(_KIND_RANK[type(op)] for op in program.ops),
+        sum(_KIND_RANK[type(run)] for run in program.ops),
         program.nblocks,
     )
 
@@ -85,46 +83,49 @@ class TestPerPassProperties:
 
 class TestIndividualRewrites:
     def test_coalesce_merges_adjacent_copies(self):
-        program = Program(ops=(CopyOp(0, 8), CopyOp(8, 8), CopyOp(24, 8)))
+        program = Program(ops=(ContigRun(0, 8), ContigRun(8, 8), ContigRun(24, 8)))
         out = coalesce_copies(program)
-        assert out.ops == (CopyOp(0, 16), CopyOp(24, 8))
+        assert out.ops == (ContigRun(0, 16), ContigRun(24, 8))
 
     def test_collapse_dense_strided_to_copy(self):
-        program = Program(ops=(StridedOp(0, count=4, blocklen=8, stride=8),))
+        program = Program(ops=(StridedRuns(0, count=4, blocklen=8, stride=8),))
         out = collapse_strides(program)
-        assert out.ops == (CopyOp(0, 32),)
+        assert out.ops == (ContigRun(0, 32),)
 
     def test_collapse_single_count_strided(self):
-        program = Program(ops=(StridedOp(16, count=1, blocklen=8, stride=24),))
-        assert collapse_strides(program).ops == (CopyOp(16, 8),)
+        program = Program(ops=(StridedRuns(16, count=1, blocklen=8, stride=24),))
+        assert collapse_strides(program).ops == (ContigRun(16, 8),)
 
     def test_collapse_uniform_indexed_to_strided(self):
         import numpy as np
 
-        op = IndexedOp(np.array([0, 16, 32]), np.array([8, 8, 8]))
-        out = collapse_strides(Program(ops=(op,)))
-        assert out.ops == (StridedOp(0, count=3, blocklen=8, stride=16),)
+        run = IrregularRuns(np.array([0, 16, 32]), np.array([8, 8, 8]))
+        out = collapse_strides(Program(ops=(run,)))
+        assert out.ops == (StridedRuns(0, count=3, blocklen=8, stride=16),)
 
     def test_rows_to_vector_fuses_copy_trains(self):
-        program = Program(ops=tuple(CopyOp(i * 16, 8) for i in range(5)))
+        program = Program(ops=tuple(ContigRun(i * 16, 8) for i in range(5)))
         out = rows_to_vector(program)
-        assert out.ops == (StridedOp(0, count=5, blocklen=8, stride=16),)
+        assert out.ops == (StridedRuns(0, count=5, blocklen=8, stride=16),)
 
     def test_rows_to_vector_extends_existing_vector(self):
         program = Program(
-            ops=(StridedOp(0, count=3, blocklen=8, stride=16), StridedOp(48, count=2, blocklen=8, stride=16))
+            ops=(
+                StridedRuns(0, count=3, blocklen=8, stride=16),
+                StridedRuns(48, count=2, blocklen=8, stride=16),
+            )
         )
         out = rows_to_vector(program)
-        assert out.ops == (StridedOp(0, count=5, blocklen=8, stride=16),)
+        assert out.ops == (StridedRuns(0, count=5, blocklen=8, stride=16),)
 
     def test_fold_contiguous_compacts_indexed(self):
         import numpy as np
 
-        op = IndexedOp(np.array([0, 8, 24]), np.array([8, 8, 8]))
-        out = fold_contiguous(Program(ops=(op,)))
+        run = IrregularRuns(np.array([0, 8, 24]), np.array([8, 8, 8]))
+        out = fold_contiguous(Program(ops=(run,)))
         # Adjacent first pair merges; the survivor is more regular.
         assert out.normalized_segments() == [(0, 16), (24, 8)]
-        assert measure(out) < measure(Program(ops=(op,)))
+        assert measure(out) < measure(Program(ops=(run,)))
 
 
 class TestPipeline:
@@ -149,12 +150,12 @@ class TestPipeline:
         assert program_cost(result.program, platform) <= program_cost(program, platform)
 
     def test_zero_round_budget_raises(self):
-        dtype_programs = Program(ops=(CopyOp(0, 8), CopyOp(8, 8)))
+        dtype_programs = Program(ops=(ContigRun(0, 8), ContigRun(8, 8)))
         with pytest.raises(ConvergenceError):
             run_pipeline(dtype_programs, max_rounds=0)
 
     def test_trail_names_the_passes(self):
-        program = Program(ops=tuple(CopyOp(i * 16, 8) for i in range(4)), source="rows")
+        program = Program(ops=tuple(ContigRun(i * 16, 8) for i in range(4)), source="rows")
         result = run_pipeline(program)
         assert "rows_to_vector" in result.trail
-        assert result.program.ops == (StridedOp(0, count=4, blocklen=8, stride=16),)
+        assert result.program.ops == (StridedRuns(0, count=4, blocklen=8, stride=16),)
