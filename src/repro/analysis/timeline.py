@@ -1,6 +1,6 @@
 """Protocol timeline rendering: a per-rank event log from a trace.
 
-Turns a :class:`~repro.sim.trace.Tracer` into a readable two-column (or
+Turns the instant markers of a :class:`~repro.obs.SpanRecorder` into a readable two-column (or
 n-column) timeline — the quickest way to see *why* a scheme costs what
 it does: where the staging happened, when the RTS/CTS flew, when the
 payload landed.
@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.trace import TraceEvent, Tracer
+from ..sim.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.recorder import SpanRecorder
     from ..obs.critical import CriticalPath
     from .explain import Explanation
 
@@ -94,7 +95,7 @@ def _event_rank(event: TraceEvent) -> int | None:
 
 
 def render_timeline(
-    tracer: Tracer,
+    tracer: SpanRecorder,
     *,
     categories: tuple[str, ...] | None = None,
     max_events: int = 200,

@@ -257,6 +257,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
     from .mpi.datatypes.ir import advise_datatype
     from .mpi.errors import DatatypeError
 
+    transport, transport_note = _advise_transport(args)
     try:
         layout = strided_for_bytes(args.bytes, blocklen=args.blocklen, stride=args.stride)
         if args.datatype == "indexed":
@@ -268,7 +269,6 @@ def cmd_advise(args: argparse.Namespace) -> int:
         dtype = layout.make_subarray_datatype()
     else:
         dtype = layout.make_datatype()
-    transport, transport_note = _advise_transport(args)
     try:
         advice = advise_datatype(
             dtype, count=args.count, platform=args.platform, transport=transport
@@ -287,15 +287,19 @@ def _advise_transport(args: argparse.Namespace):
     advise pricing should run on: the shm transport when the described
     placement co-locates the communicating pair (ranks 0 and 1), the
     network (``None`` — historical pricing) otherwise."""
-    ranks_per_node = getattr(args, "ranks_per_node", None)
-    if not ranks_per_node or ranks_per_node <= 1:
+    ranks_per_node = args.ranks_per_node
+    if ranks_per_node is not None and ranks_per_node <= 0:
+        _usage_error("advise", f"--ranks-per-node must be positive, got {ranks_per_node}")
+    if args.placement is not None and ranks_per_node is None:
+        _usage_error("advise", "--placement needs --ranks-per-node")
+    if ranks_per_node is None or ranks_per_node == 1:
         return None, ""
     from .machine.network import default_shm_model
     from .machine.registry import get_platform
     from .net import make_topology
     from .net.transport import ShmTransport
 
-    placement = getattr(args, "placement", None) or "block"
+    placement = args.placement or "block"
     # The advised ping-pong is a two-rank pair; two nodes' worth of
     # ranks is enough for the placement to decide their co-location
     # (block keeps 0 and 1 together, cyclic deals them apart).

@@ -15,8 +15,7 @@ from ..machine.platform import Platform
 from ..machine.registry import get_platform
 from ..mpi.comm import Comm
 from ..mpi.runtime import run_mpi
-from ..obs import MetricsRegistry
-from ..sim.trace import Tracer
+from ..obs import MetricsRegistry, NullRecorder, SpanRecorder
 from .layout import Layout
 from .schemes import SchemeContext, SendScheme, make_scheme
 from .timing import TimingPolicy, TimingStats, summarize
@@ -34,8 +33,8 @@ class PingPongResult:
     stats: TimingStats
     verified: bool
     events: int
-    #: The job's trace (a SpanRecorder when ``trace=True``).
-    tracer: Tracer | None = field(default=None, compare=False, repr=False)
+    #: The job's recorder (a SpanRecorder when ``trace=True``).
+    tracer: SpanRecorder | NullRecorder | None = field(default=None, compare=False, repr=False)
     #: The job's metrics registry.
     metrics: MetricsRegistry | None = field(default=None, compare=False, repr=False)
     #: Virtual time at which the whole job drained.

@@ -33,7 +33,6 @@ from ..mpi.costs import CostModel
 from ..mpi.runtime import run_mpi
 from ..net import make_topology
 from ..net.transport import NetworkTransport, ShmTransport
-from ..obs import SpanRecorder
 from ..obs.critical import extract_critical_path
 from .base import ExperimentResult
 
@@ -113,14 +112,13 @@ def run_halo_experiment(
     for scheme in HALO_SCHEMES:
         program = halo_program(spec.with_scheme(scheme))
         flat_job = run_mpi(program, nranks=nranks, platform=plat)
-        recorder = SpanRecorder()
-        topo_job = run_mpi(program, nranks=nranks, platform=plat_topo, tracer=recorder)
+        topo_job = run_mpi(program, nranks=nranks, platform=plat_topo, trace=True)
         if scheme == "auto":
             for rank_result in topo_job.results:
                 auto_choices[rank_result.chosen] = (
                     auto_choices.get(rank_result.chosen, 0) + 1
                 )
-        path = extract_critical_path(recorder, topo_job.virtual_time)
+        path = extract_critical_path(topo_job.tracer, topo_job.virtual_time)
         by_resource = path.by_resource()
         contention = by_resource["contention"]
         shm_time = by_resource["shm"]

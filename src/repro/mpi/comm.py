@@ -215,8 +215,9 @@ class Comm:
             world.c_bytes_staged.inc(nbytes)
             world.c_staging_chunks.inc(chunks)
             self.process.touch_caches()
-            self.world.trace("staging", rank=self.rank, nbytes=nbytes,
-                             datatype=datatype.name)
+            if tracing:
+                obs.record(t0, "staging", rank=self.rank, nbytes=nbytes,
+                           datatype=datatype.name)
         payload = self._build_payload(sbuf, plan)
         delay += cost.send_overhead
         if not self.world.platform.network.nic_offload and nbytes:
@@ -318,8 +319,9 @@ class Comm:
             context_id=self.context_id,
         )
         op.start()
-        self.world.trace("bsend", rank=self.rank, dest=dest, nbytes=nbytes,
-                         reserved=reserved)
+        if obs.enabled:
+            obs.record(task.now, "bsend", rank=self.rank, dest=dest, nbytes=nbytes,
+                       reserved=reserved)
 
     # ------------------------------------------------------------------
     # Receives
@@ -404,19 +406,21 @@ class Comm:
         world = self.world
         world.c_recv_completions.inc()
         world.c_bytes_received.inc(msg.nbytes)
-        obs = world.obs
-        if obs.enabled and copy_out > 0.0:
-            t_end = task.now
-            begin = t_end - cost.recv_overhead - copy_out
-            obs.complete(begin, begin + copy_out, "p2p.recv_copy",
-                         rank=self.process.rank, category="copy",
-                         nbytes=msg.nbytes, source=msg.source, eager=msg.eager)
         # Note: receiving does NOT mark the cache warm — the warm flag
         # tracks whether *this* rank's benchmark source data was
         # recently streamed (flush ablation, section 4.6); landing a
         # message touches different memory.
-        self.world.trace("recv.complete", rank=self.process.rank, source=msg.source,
-                         tag=msg.tag, nbytes=msg.nbytes, eager=msg.eager)
+        obs = world.obs
+        if obs.enabled:
+            t_end = task.now
+            if copy_out > 0.0:
+                begin = t_end - cost.recv_overhead - copy_out
+                obs.complete(begin, begin + copy_out, "p2p.recv_copy",
+                             rank=self.process.rank, category="copy",
+                             nbytes=msg.nbytes, source=msg.source, eager=msg.eager)
+            obs.record(t_end, "recv.complete", rank=self.process.rank,
+                       source=msg.source, tag=msg.tag, nbytes=msg.nbytes,
+                       eager=msg.eager)
         return Status(source=self._comm_rank(msg.source), tag=msg.tag, nbytes=msg.nbytes)
 
     def _apply_payload(self, msg, sbuf: SimBuffer, datatype: Datatype,
@@ -709,4 +713,4 @@ class Comm:
             obs.complete(t0, t0 + flush_cost, "cache.flush",
                          rank=self.process.rank, category="overhead",
                          nbytes=nbytes)
-        self.world.trace("flush", rank=self.rank, nbytes=nbytes)
+            obs.record(self.process.task.now, "flush", rank=self.rank, nbytes=nbytes)

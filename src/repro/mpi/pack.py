@@ -59,6 +59,7 @@ def _charge_pack(comm: "Comm", plan: TransferPlan, ncalls: int,
         obs.complete(t0 + call_cost, t0 + call_cost + move_cost, f"pack.{kind}",
                      rank=comm.process.rank, category="pack",
                      nbytes=nbytes, ncalls=ncalls)
+        obs.record(task.now, kind, rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
 
 
 def pack(comm: "Comm", inbuf, incount: int, datatype: Datatype, outbuf,
@@ -79,7 +80,6 @@ def pack(comm: "Comm", inbuf, incount: int, datatype: Datatype, outbuf,
     _charge_pack(comm, plan, ncalls=1, scatter=False)
     if src.materialized and dst.materialized and incount:
         pack_bytes(src.bytes, datatype, incount, dst.bytes, position, plan=plan)
-    comm.world.trace("pack", rank=comm.rank, nbytes=nbytes, ncalls=1)
     return position + nbytes
 
 
@@ -100,7 +100,6 @@ def unpack(comm: "Comm", inbuf, position: int, outbuf, outcount: int,
     _charge_pack(comm, plan, ncalls=1, scatter=True)
     if src.materialized and dst.materialized and outcount:
         unpack_bytes(src.bytes, position, dst.bytes, datatype, outcount, plan=plan)
-    comm.world.trace("unpack", rank=comm.rank, nbytes=nbytes, ncalls=1)
     return position + nbytes
 
 
@@ -126,7 +125,6 @@ def pack_elements_bulk(comm: "Comm", inbuf, incount: int, datatype: Datatype,
     _charge_pack(comm, plan, ncalls=ncalls, scatter=False)
     if src.materialized and dst.materialized and incount:
         pack_bytes(src.bytes, datatype, incount, dst.bytes, position, plan=plan)
-    comm.world.trace("pack", rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
     return position + nbytes
 
 
@@ -147,5 +145,4 @@ def unpack_elements_bulk(comm: "Comm", inbuf, position: int, outbuf,
     _charge_pack(comm, plan, ncalls=ncalls, scatter=True)
     if src.materialized and dst.materialized and outcount:
         unpack_bytes(src.bytes, position, dst.bytes, datatype, outcount, plan=plan)
-    comm.world.trace("unpack", rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
     return position + nbytes

@@ -235,7 +235,7 @@ class SendOperation:
                 # Fabric mode: the wire segment is a flow whose finish
                 # instant depends on contention — everything downstream
                 # (trace, spans, delivery) waits for the flow to drain.
-                if obs.wait_edges_enabled:
+                if obs.enabled:
                     sender = world.kernel.current_task
                     self._origin = (sender.name if sender is not None else "", now)
                 # Buffer reusable immediately: eager copies into library
@@ -251,16 +251,15 @@ class SendOperation:
                 self.payload.nbytes, factor=self.wire_factor, derived=self.derived
             )
             self.message.arrival_time = arrival
-            world.trace("send.eager", src=self.proc.rank, dest=self.dest, tag=self.tag,
-                        nbytes=self.payload.nbytes, arrival=arrival,
-                        transport=transport.kind)
             if obs.enabled:
+                obs.record(now, "send.eager", src=self.proc.rank, dest=self.dest,
+                           tag=self.tag, nbytes=self.payload.nbytes, arrival=arrival,
+                           transport=transport.kind)
                 # Detached root: the wire transfer outlives the Send call.
                 obs.complete(now, arrival, "proto.eager", rank=self.proc.rank,
                              category="transfer", parent=None, dest=self.dest,
                              tag=self.tag, nbytes=self.payload.nbytes,
                              transport=transport.kind)
-            if obs.wait_edges_enabled:
                 sender = world.kernel.current_task
                 self.delivery_cause = WakeCause(
                     "eager-data",
@@ -281,9 +280,10 @@ class SendOperation:
             world.c_rendezvous_sends.inc()
             world.c_bytes_on_wire.inc(self.payload.nbytes)
             latency = transport.control_latency
-            world.trace("send.rts", src=self.proc.rank, dest=self.dest, tag=self.tag,
-                        nbytes=self.payload.nbytes, transport=transport.kind)
             if obs.enabled:
+                obs.record(now, "send.rts", src=self.proc.rank, dest=self.dest,
+                           tag=self.tag, nbytes=self.payload.nbytes,
+                           transport=transport.kind)
                 self._span = obs.begin(now, "proto.rendezvous", rank=self.proc.rank,
                                        category="protocol", parent=None,
                                        dest=self.dest, tag=self.tag,
@@ -293,7 +293,6 @@ class SendOperation:
                              rank=self.proc.rank, category="handshake",
                              parent=self._span, dest=self.dest, tag=self.tag,
                              transport=transport.kind)
-            if obs.wait_edges_enabled:
                 sender = world.kernel.current_task
                 self._origin = (sender.name if sender is not None else "", now)
                 self._hops = [(now, now + latency, transport.control_resource)]
@@ -335,14 +334,15 @@ class SendOperation:
         latency = fabric.path_latency(self.proc.rank, self.dest)
         arrival = done + latency
         self.message.arrival_time = arrival
-        world.trace("send.eager", src=self.proc.rank, dest=self.dest, tag=self.tag,
-                    nbytes=self.payload.nbytes, arrival=arrival)
         obs = world.obs
         if obs.enabled:
+            obs.record(world.kernel.now, "send.eager", src=self.proc.rank,
+                       dest=self.dest, tag=self.tag, nbytes=self.payload.nbytes,
+                       arrival=arrival)
             obs.complete(flow.start_time, arrival, "proto.eager", rank=self.proc.rank,
                          category="transfer", parent=None, dest=self.dest,
                          tag=self.tag, nbytes=self.payload.nbytes)
-        if obs.wait_edges_enabled and self._origin is not None:
+        if obs.enabled and self._origin is not None:
             origin, origin_time = self._origin
             self.delivery_cause = WakeCause(
                 "eager-data",
@@ -370,18 +370,18 @@ class SendOperation:
         transport = self.transport
         latency = transport.control_latency
         world.c_rendezvous_roundtrips.inc()
-        world.trace("send.cts", src=self.proc.rank, dest=self.dest, tag=self.tag,
-                    transport=transport.kind)
-        if world.obs.enabled and self._span is not None:
+        obs = world.obs
+        if obs.enabled:
             now = world.kernel.now
-            # The CTS belongs to the *receiver* — it leaves when the
-            # matching receive is found.
-            world.obs.complete(now, now + latency, "proto.cts", rank=self.dest,
-                               category="handshake", parent=self._span,
-                               src=self.proc.rank, tag=self.tag,
-                               transport=transport.kind)
-        if world.obs.wait_edges_enabled:
-            now = world.kernel.now
+            obs.record(now, "send.cts", src=self.proc.rank, dest=self.dest,
+                       tag=self.tag, transport=transport.kind)
+            if self._span is not None:
+                # The CTS belongs to the *receiver* — it leaves when the
+                # matching receive is found.
+                obs.complete(now, now + latency, "proto.cts", rank=self.dest,
+                             category="handshake", parent=self._span,
+                             src=self.proc.rank, tag=self.tag,
+                             transport=transport.kind)
             grantor = world.kernel.current_task
             if grantor is not None:
                 # The receive was found by a task (a late post): the
@@ -405,7 +405,7 @@ class SendOperation:
             # Fabric mode: charge the push overhead, then hand the wire
             # segment to the flow engine.
             overhead = transport.rendezvous_overhead
-            if world.obs.wait_edges_enabled and self._origin is not None:
+            if world.obs.enabled and self._origin is not None:
                 self._hops.append((now, now + overhead, transport.overhead_resource))
             self._cts_time = now
             world.kernel.call_later(overhead, self._start_push_flow)
@@ -416,16 +416,18 @@ class SendOperation:
         )
         done = now + push
         arrival = done + transport.control_latency
-        world.trace("send.push", src=self.proc.rank, dest=self.dest,
-                    nbytes=self.payload.nbytes, done=done, arrival=arrival,
-                    transport=transport.kind)
-        if world.obs.enabled and self._span is not None:
-            world.obs.complete(now, arrival, "proto.push", rank=self.proc.rank,
-                               category="transfer", parent=self._span,
-                               dest=self.dest, nbytes=self.payload.nbytes,
-                               transport=transport.kind)
+        obs = world.obs
+        if obs.enabled:
+            obs.record(now, "send.push", src=self.proc.rank, dest=self.dest,
+                       nbytes=self.payload.nbytes, done=done, arrival=arrival,
+                       transport=transport.kind)
+            if self._span is not None:
+                obs.complete(now, arrival, "proto.push", rank=self.proc.rank,
+                             category="transfer", parent=self._span,
+                             dest=self.dest, nbytes=self.payload.nbytes,
+                             transport=transport.kind)
         completion_cause = None
-        if world.obs.wait_edges_enabled and self._origin is not None:
+        if obs.enabled and self._origin is not None:
             self._hops.append((now, now + overhead, transport.overhead_resource))
             self._hops.append((now + overhead, done, transport.payload_resource))
             origin, origin_time = self._origin
@@ -457,15 +459,18 @@ class SendOperation:
         fabric = world.fabric
         latency = fabric.path_latency(self.proc.rank, self.dest)
         arrival = done + latency
-        world.trace("send.push", src=self.proc.rank, dest=self.dest,
-                    nbytes=self.payload.nbytes, done=done, arrival=arrival)
-        if world.obs.enabled and self._span is not None:
-            world.obs.complete(self._cts_time, arrival, "proto.push",
-                               rank=self.proc.rank, category="transfer",
-                               parent=self._span, dest=self.dest,
-                               nbytes=self.payload.nbytes)
+        obs = world.obs
+        if obs.enabled:
+            obs.record(world.kernel.now, "send.push", src=self.proc.rank,
+                       dest=self.dest, nbytes=self.payload.nbytes, done=done,
+                       arrival=arrival)
+            if self._span is not None:
+                obs.complete(self._cts_time, arrival, "proto.push",
+                             rank=self.proc.rank, category="transfer",
+                             parent=self._span, dest=self.dest,
+                             nbytes=self.payload.nbytes)
         completion_cause = None
-        if world.obs.wait_edges_enabled and self._origin is not None:
+        if obs.enabled and self._origin is not None:
             self._hops.extend(self._flow_hops(flow, done))
             origin, origin_time = self._origin
             completion_cause = WakeCause(

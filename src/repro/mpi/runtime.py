@@ -25,10 +25,9 @@ from ..machine.platform import Platform
 from ..machine.registry import get_platform
 from ..net.flows import FlowEngine
 from ..net.transport import NetworkTransport, ShmTransport, Transport, transport_for_pair
-from ..obs import NULL_RECORDER, MetricsRegistry, SpanRecorder
+from ..obs import MetricsRegistry, NullRecorder, SpanRecorder
 from ..sim.kernel import Kernel
 from ..sim.sync import SimCondition
-from ..sim.trace import NullTracer, Tracer
 from .buffers import AttachedBuffer
 from .comm import Comm
 from .costs import CostModel
@@ -66,10 +65,10 @@ class Process:
         self.arrival_cond.notify_all(cause=message.operation.delivery_cause)
 
     def _record_queue_depth(self, unexpected: int, posted: int) -> None:
-        """Traced runs only: flat events behind the Chrome counter lane."""
-        self.world.trace(
-            "queue.depth", rank=self.rank, unexpected=unexpected, posted=posted
-        )
+        """Traced runs only: instant markers behind the Chrome counter lane."""
+        world = self.world
+        world.obs.record(world.kernel.now, "queue.depth", rank=self.rank,
+                         unexpected=unexpected, posted=posted)
 
     def _on_match(self, message) -> None:
         """Matching-engine callback: one envelope found its receive.
@@ -138,10 +137,10 @@ class World:
         self.c_staging_chunks = m.counter("p2p.staging_chunks")
         self.c_shm_sends = m.counter("p2p.shm_sends")
         self.c_shm_bytes = m.counter("p2p.shm_bytes")
-        #: The flight recorder: the kernel's tracer when it speaks the
-        #: span API, else the shared no-op.  Instrumentation sites guard
-        #: on ``obs.enabled`` so the untraced path stays free.
-        self.obs = kernel.tracer if isinstance(kernel.tracer, SpanRecorder) else NULL_RECORDER
+        #: The flight recorder (the kernel's): a ``SpanRecorder`` when
+        #: traced, else the shared ``NULL_RECORDER``.  Instrumentation
+        #: sites guard on ``obs.enabled`` so the untraced path stays free.
+        self.obs = kernel.tracer
         #: Link-contention engine — built only for a non-flat topology.
         #: ``None`` means the closed-form single-wire pricing (today's
         #: model, bit-identical to every pre-fabric simulation).
@@ -153,7 +152,6 @@ class World:
                 platform.network,
                 concurrent_streams=concurrent_streams,
                 metrics=self.metrics,
-                tracer=kernel.tracer,
             )
         else:
             self.fabric = None
@@ -195,9 +193,6 @@ class World:
             self._next_context += 1
         return self._context_table[key]
 
-    def trace(self, category: str, **fields: Any) -> None:
-        self.kernel.tracer.record(self.kernel.now, category, **fields)
-
     @contextmanager
     def span(self, name: str, *, rank: int | None = None, category: str = "",
              **attrs: Any):
@@ -231,8 +226,9 @@ class JobResult:
     #: Times the kernel's baton moved to a different thread (a host
     #: cost, not part of any digest or stored record).
     thread_switches: int
-    #: The trace, if tracing was enabled.
-    tracer: Tracer
+    #: The recorder: a ``SpanRecorder`` if tracing was enabled, else
+    #: the shared ``NULL_RECORDER``.
+    tracer: SpanRecorder | NullRecorder
     #: The job's metrics registry (always populated).
     metrics: MetricsRegistry | None = None
 
@@ -249,7 +245,6 @@ def run_mpi(
     *,
     concurrent_streams: int = 1,
     trace: bool = False,
-    tracer: Tracer | None = None,
     max_events: int | None = None,
 ) -> JobResult:
     """Run ``main(comm)`` on ``nranks`` simulated ranks.
@@ -264,10 +259,8 @@ def run_mpi(
         Communicating pairs sharing each node's injection bandwidth
         (the section 4.7 all-cores scenario).
     trace:
-        Record a structured protocol trace (see ``result.tracer``):
-        spans plus flat events via a fresh :class:`SpanRecorder`.
-    tracer:
-        Explicit tracer/recorder instance, overriding ``trace``.
+        Record spans, instant markers and the wait-for graph into a
+        fresh :class:`SpanRecorder` (``result.tracer``).
     max_events:
         Safety bound on kernel events (tests).
     """
@@ -281,9 +274,7 @@ def run_mpi(
                 f"{nranks} rank(s) do not fit on the selected topology "
                 f"({platform.topology.describe()})"
             )
-    if tracer is None:
-        tracer = SpanRecorder() if trace else NullTracer()
-    kernel = Kernel(tracer=tracer)
+    kernel = Kernel(tracer=SpanRecorder() if trace else None)
     world = World(kernel, platform, concurrent_streams=concurrent_streams)
     finish_times: list[float] = [0.0] * nranks
     results: list[Any] = [None] * nranks

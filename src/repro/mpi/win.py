@@ -214,8 +214,10 @@ class Win:
         )
         comm.world.metrics.counter("rma.ops").inc()
         comm.world.metrics.counter("rma.bytes").inc(nbytes)
-        comm.world.trace("rma.put", rank=comm.rank, target=target_rank, nbytes=nbytes,
-                         transport=transport.kind)
+        obs = comm.world.obs
+        if obs.enabled:
+            obs.record(comm.world.kernel.now, "rma.put", rank=comm.rank,
+                       target=target_rank, nbytes=nbytes, transport=transport.kind)
 
     def Get(
         self,
@@ -286,8 +288,10 @@ class Win:
         )
         comm.world.metrics.counter("rma.ops").inc()
         comm.world.metrics.counter("rma.bytes").inc(nbytes)
-        comm.world.trace("rma.get", rank=comm.rank, target=target_rank, nbytes=nbytes,
-                         transport=transport.kind)
+        obs = comm.world.obs
+        if obs.enabled:
+            obs.record(comm.world.kernel.now, "rma.get", rank=comm.rank,
+                       target=target_rank, nbytes=nbytes, transport=transport.kind)
 
     def Accumulate(
         self,
@@ -341,8 +345,10 @@ class Win:
         )
         comm.world.metrics.counter("rma.ops").inc()
         comm.world.metrics.counter("rma.bytes").inc(nbytes)
-        comm.world.trace("rma.acc", rank=comm.rank, target=target_rank, nbytes=nbytes,
-                         transport=transport.kind)
+        obs = comm.world.obs
+        if obs.enabled:
+            obs.record(comm.world.kernel.now, "rma.acc", rank=comm.rank,
+                       target=target_rank, nbytes=nbytes, transport=transport.kind)
 
     # ------------------------------------------------------------------
     def Fence(self) -> None:
@@ -396,7 +402,8 @@ class Win:
                 obs.complete(t0 + total, task.now, "rma.land",
                              rank=comm.process.rank, category="handshake",
                              nops=len(self._pending))
-            comm.world.trace("rma.drain", rank=comm.rank, nops=len(self._pending))
+                obs.record(task.now, "rma.drain", rank=comm.rank,
+                           nops=len(self._pending))
             self._pending.clear()
         t_sync = task.now
         self._state.barrier.arrive(task, release_cost=cost.fence(comm.size))

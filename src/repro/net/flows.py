@@ -31,11 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..machine.network import NetworkModel
     from ..obs.metrics import MetricsRegistry
     from ..sim.kernel import Kernel
-    from ..sim.trace import Tracer
 
 __all__ = ["Flow", "FlowEngine", "max_min_rates", "LINK_UTIL_EVENT"]
 
-#: Flat-trace category carrying per-link utilization samples (exported
+#: Instant-marker category carrying per-link utilization samples (exported
 #: as Chrome counter tracks, like matching-queue depths).
 LINK_UTIL_EVENT = "link.util"
 
@@ -175,7 +174,6 @@ class FlowEngine:
         *,
         concurrent_streams: int = 1,
         metrics: "MetricsRegistry | None" = None,
-        tracer: "Tracer | None" = None,
     ):
         if topology.is_flat:
             raise ValueError("the flat topology bypasses the flow engine")
@@ -192,7 +190,6 @@ class FlowEngine:
         self._next_fid = 0
         self._epoch = 0
         self._last_update = kernel.now
-        self.tracer = tracer
         self._c_flows = metrics.counter("net.flows") if metrics is not None else None
         self._c_bytes = metrics.counter("net.bytes_delivered") if metrics is not None else None
         self._c_resolves = metrics.counter("net.resolves") if metrics is not None else None
@@ -315,7 +312,7 @@ class FlowEngine:
             eta = now + flow.remaining / rate
             if next_finish is None or eta < next_finish:
                 next_finish = eta
-        if self.tracer is not None and self.tracer.enabled:
+        if self.kernel.tracer.enabled:
             self._trace_utilization(now, flows)
         assert next_finish is not None
         self.kernel.call_later(max(0.0, next_finish - now), self._fire, self._epoch)
@@ -328,10 +325,11 @@ class FlowEngine:
                 total, count = load.get(link, (0.0, 0))
                 load[link] = (total + flow.rate, count + 1)
         links = self.topology.links
+        obs = self.kernel.tracer
         for link in sorted(load):
             total, count = load[link]
             cap = self.capacities[link]
-            self.tracer.record(
+            obs.record(
                 now,
                 LINK_UTIL_EVENT,
                 link=f"{links[link].src}->{links[link].dst}",
@@ -340,7 +338,7 @@ class FlowEngine:
                 utilization=total / cap,
                 flows=count,
             )
-        self.tracer.record(now, "net.resolve", flows=len(flows))
+        obs.record(now, "net.resolve", flows=len(flows))
 
     def _fire(self, epoch: int) -> None:
         """Kernel context: the scheduled next-completion instant."""

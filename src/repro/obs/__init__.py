@@ -3,10 +3,10 @@
 Three pieces, usable separately:
 
 * **Spans** (:mod:`.spans`, :mod:`.recorder`) — hierarchical begin/end
-  records over the simulator's virtual clock, replacing the flat event
-  list as the primary trace representation.  The legacy flat
-  :class:`~repro.sim.trace.TraceEvent` API keeps working: the
-  :class:`SpanRecorder` *is a* :class:`~repro.sim.trace.Tracer`.
+  records over the simulator's virtual clock.  The same
+  :class:`SpanRecorder` also keeps the instant markers
+  (:class:`~repro.sim.trace.TraceEvent`) and the kernel's wait-for
+  graph; an untraced run carries the shared :data:`NULL_RECORDER`.
 * **Metrics** (:mod:`.metrics`) — a process-wide registry of counters,
   gauges, and histograms (bytes staged, packs issued, envelopes
   matched, rendezvous round-trips, ...), always on and queryable from
@@ -21,8 +21,10 @@ Three pieces, usable separately:
   what-if engine that predicts speedups under perturbed machines.
 
 Tracing is zero-cost when off: every instrumentation site guards on
-``recorder.enabled`` before building a single attribute dict, and the
-disabled recorder (:class:`NullRecorder`) is a no-op object.
+``recorder.enabled`` before building a single attribute dict, so an
+untraced run makes no call into the disabled recorder
+(:class:`NullRecorder`) at all — :func:`repro.perf.workloads.zero_cost_check`
+counts them and requires zero.
 """
 
 from .attribution import PHASE_PRIORITY, attribute_phases

@@ -498,7 +498,7 @@ class _WorkBlamer:
 def extract_critical_path(recorder: "SpanRecorder", total: float) -> CriticalPath:
     """Walk the wait-for graph backwards and return the critical path.
 
-    ``recorder`` must come from a traced run (edge recording on) whose
+    ``recorder`` must come from a traced run whose
     job finished normally; ``total`` is the job's virtual time.
     """
     finishes = recorder.task_finishes()

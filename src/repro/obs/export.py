@@ -2,7 +2,7 @@
 
 Produces the JSON object format understood by ``chrome://tracing`` and
 Perfetto: closed spans become ``"X"`` (complete) events with
-microsecond ``ts``/``dur``, flat trace events become ``"i"`` (instant)
+microsecond ``ts``/``dur``, instant markers become ``"i"`` (instant)
 markers, matching-queue depth samples become ``"C"`` counter series,
 and each rank gets a named thread via ``"M"`` metadata events.  When a
 :class:`~repro.obs.critical.CriticalPath` is supplied, its segments
@@ -19,7 +19,6 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..sim.trace import Tracer
 from .recorder import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,11 +42,11 @@ _GLOBAL_TID = 99
 #: tid of the critical-path highlight lane.
 _CRITICAL_TID = 98
 
-#: Flat event category carrying matching-queue depth samples; exported
+#: Instant-marker category carrying matching-queue depth samples; exported
 #: as Chrome counter series instead of instant markers.
 _QUEUE_DEPTH = "queue.depth"
 
-#: Flat event category carrying per-link utilization samples from the
+#: Instant-marker category carrying per-link utilization samples from the
 #: flow engine (see :data:`repro.net.flows.LINK_UTIL_EVENT`); exported
 #: as one counter track per link.
 _LINK_UTIL = "link.util"
@@ -186,16 +185,16 @@ def host_chrome_trace(
 
 
 def chrome_trace(
-    tracer: Tracer,
+    tracer: SpanRecorder,
     *,
     pid: int = 0,
     critical_path: "CriticalPath | None" = None,
     host: "HostTelemetry | None" = None,
 ) -> dict[str, Any]:
-    """Render a tracer/recorder as a Chrome ``trace_event`` document.
+    """Render a :class:`SpanRecorder` as a Chrome ``trace_event`` document.
 
-    Works on a plain :class:`~repro.sim.trace.Tracer` (instants only)
-    or a :class:`SpanRecorder` (spans + instants).  Times convert from
+    Spans become ``X`` events and instant markers ``i`` (or ``C``
+    counter) events.  Times convert from
     virtual seconds to microseconds, the trace-viewer convention.
     ``critical_path`` adds the highlighted critical-path lane plus flow
     arrows at the points where the path hands off between tasks.
@@ -206,8 +205,7 @@ def chrome_trace(
     events: list[dict[str, Any]] = []
     tids: set[int] = set()
 
-    spans = tracer.all_spans() if isinstance(tracer, SpanRecorder) else []
-    for span in spans:
+    for span in tracer.all_spans():
         if span.end is None:
             continue
         tid = span.rank if span.rank is not None else _GLOBAL_TID
@@ -375,7 +373,7 @@ def _critical_events(path: "CriticalPath", pid: int) -> list[dict[str, Any]]:
 
 
 def write_chrome_trace(
-    tracer: Tracer,
+    tracer: SpanRecorder,
     path: str | Path,
     *,
     critical_path: "CriticalPath | None" = None,

@@ -12,13 +12,14 @@ latency histograms, covering the layers that burn real CPU seconds:
   histograms;
 * the **flow engine** — re-solve counts and solve-time histograms.
 
-Like the virtual-time flight recorder (PR 1), host telemetry is
+Like the virtual-time flight recorder, host telemetry is
 **zero-cost when off**: every instrumentation site guards on the
 module attribute :data:`active` being non-``None`` before touching the
 clock or building any record — the disabled path is one module-attr
 load and an ``is None`` test, it never calls :func:`_now`.  The
-structural leg of the tracing-overhead gate pins this by counting
-:func:`_now` invocations during an untraced, telemetry-off run.
+tracing-overhead gate (:func:`repro.perf.workloads.zero_cost_check`)
+pins this by counting :func:`_now` invocations during an untraced,
+telemetry-off run.
 
 Timestamps come from ``time.perf_counter`` (CLOCK_MONOTONIC on Linux),
 which is comparable across forked worker processes on the same boot —

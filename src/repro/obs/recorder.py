@@ -1,23 +1,25 @@
 """Span recorder: the flight recorder behind ``world.obs``.
 
-:class:`SpanRecorder` *is a* :class:`~repro.sim.trace.Tracer`, so it
-drops into ``Kernel(tracer=...)`` unchanged and keeps every flat-event
-consumer (timeline rendering, ``tracer.count(...)`` assertions)
-working, while adding the hierarchical span API on top.
+A traced run records into one :class:`SpanRecorder`: hierarchical
+spans, instant markers (:class:`~repro.sim.trace.TraceEvent`, the raw
+material of the timeline and the Chrome counter lanes) and the
+kernel's wait-for graph.  It drops into ``Kernel(tracer=...)`` and
+becomes ``world.obs``.
 
-:class:`NullRecorder` *is a* :class:`~repro.sim.trace.NullTracer` and
-is what a non-traced world sees: instrumentation sites guard on
-``recorder.enabled`` before doing any span work, so the disabled path
-costs one attribute read per site.  The null recorder counts (but
-otherwise ignores) any ``begin`` calls it receives, which lets tests
-assert structurally that the disabled path never builds a span.
+An untraced run carries :data:`~repro.sim.trace.NULL_RECORDER`, the
+shared :class:`~repro.sim.trace.NullRecorder` whose methods do
+nothing.  Every instrumentation site guards on ``recorder.enabled``
+before building a single argument, so the disabled path costs one
+attribute read per site and makes no call into the recorder at all;
+:func:`repro.perf.workloads.zero_cost_check` counts those calls and
+requires none.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from ..sim.trace import NullTracer, Tracer, WaitEdge
+from ..sim.trace import NULL_RECORDER, NullRecorder, TraceEvent, WaitEdge
 from .spans import Span
 
 __all__ = ["SpanRecorder", "NullRecorder", "NULL_RECORDER"]
@@ -27,14 +29,15 @@ __all__ = ["SpanRecorder", "NullRecorder", "NULL_RECORDER"]
 _AUTO = object()
 
 
-class SpanRecorder(Tracer):
-    """Collects spans (and, via the base class, flat trace events)."""
+class SpanRecorder:
+    """Collects spans, instant markers and the wait-for graph."""
 
     AUTO = _AUTO
-    wait_edges_enabled = True
+    #: A class attribute so the enabled check is one attribute load.
+    enabled = True
 
     def __init__(self) -> None:
-        super().__init__()
+        self._events: list[TraceEvent] = []
         self._spans: list[Span] = []
         self._next_sid = 1
         #: per-rank stacks of open *scoped* spans (auto-parent targets)
@@ -44,6 +47,42 @@ class SpanRecorder(Tracer):
         self._sleeps: dict[str, list[tuple[float, float]]] = {}
         self._task_starts: dict[str, float] = {}
         self._task_finishes: dict[str, float] = {}
+
+    # ------------------------------------------------------------------
+    # Instant markers
+    # ------------------------------------------------------------------
+    def record(self, time: float, category: str, **fields: Any) -> None:
+        """Append one instant marker."""
+        self._events.append(TraceEvent(time=time, category=category, fields=fields))
+
+    def events(self, category: str | None = None, **match: Any) -> list[TraceEvent]:
+        """Instant markers, optionally filtered by category and fields."""
+        out: Iterable[TraceEvent] = self._events
+        if category is not None:
+            out = (e for e in out if e.category == category)
+        for key, value in match.items():
+            out = (e for e in out if e.get(key) == value)
+        return list(out)
+
+    def count(self, category: str | None = None, **match: Any) -> int:
+        return len(self.events(category, **match))
+
+    def categories(self) -> set[str]:
+        return {e.category for e in self._events}
+
+    def clear(self) -> None:
+        """Drop the instant markers (spans and wait edges stay)."""
+        self._events.clear()
+
+    def format(self) -> str:
+        """The instant markers as one printable block."""
+        return "\n".join(e.format() for e in self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._events)
 
     # ------------------------------------------------------------------
     # Wait-for graph recording (called by the kernel)
@@ -200,61 +239,3 @@ class SpanRecorder(Tracer):
 
     def __contains__(self, name: str) -> bool:
         return any(s.name == name for s in self._spans)
-
-
-class NullRecorder(NullTracer):
-    """The disabled flight recorder: drops everything.
-
-    ``begin_calls`` counts (erroneous) span openings so tests can
-    assert the zero-cost-when-off contract structurally: a disabled run
-    must never reach ``begin`` at all.
-    """
-
-    AUTO = _AUTO
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.begin_calls = 0
-
-    def begin(self, time: float, name: str, **kwargs: Any) -> None:
-        self.begin_calls += 1
-        return None
-
-    def end(self, span: Any, time: float, **attrs: Any) -> None:
-        return None
-
-    def complete(self, begin: float, end: float, name: str, **kwargs: Any) -> None:
-        self.begin_calls += 1
-        return None
-
-    def push(self, rank: int | None, span: Any) -> None:
-        pass
-
-    def pop(self, rank: int | None, span: Any) -> None:
-        pass
-
-    def spans(self, name: str | None = None, **kwargs: Any) -> list[Span]:
-        return []
-
-    def span_count(self, name: str | None = None, **kwargs: Any) -> int:
-        return 0
-
-    def children(self, span: Any) -> list[Span]:
-        return []
-
-    def roots(self) -> list[Span]:
-        return []
-
-    def open_spans(self) -> list[Span]:
-        return []
-
-    def all_spans(self) -> list[Span]:
-        return []
-
-    def span_names(self) -> set[str]:
-        return set()
-
-
-#: Shared no-op recorder for non-traced worlds.  It carries no state
-#: besides the diagnostic counter, so one instance serves everywhere.
-NULL_RECORDER = NullRecorder()

@@ -58,9 +58,8 @@ _OPS: dict[str, Callable[[float, float], bool]] = {
 
 class GateContext:
     """What a workload's callables receive: resolved options, host
-    facts, and a scratch dict that survives from ``setup`` through
-    every ``measure`` call to ``teardown`` (worktree paths, one-time
-    golden results, ...)."""
+    facts, and a scratch dict that survives across every ``measure``
+    call of one gate run (one-time golden results, ...)."""
 
     def __init__(self, options: dict[str, Any] | None = None):
         self.options: dict[str, Any] = dict(options or {})
@@ -79,10 +78,10 @@ class GateContext:
 
 def _find_repo() -> Path:
     """The repo root (directory holding ``src/repro``), for workloads
-    that compare against a base revision via ``git worktree``."""
+    that read checked-in files such as the golden scheme times."""
     here = Path(__file__).resolve()
     for parent in here.parents:
-        if (parent / ".git").exists() and (parent / "src" / "repro").is_dir():
+        if (parent / "src" / "repro").is_dir():
             return parent
     return Path.cwd()
 
@@ -153,10 +152,6 @@ class GateSpec:
     measure: Callable[[GateContext], dict[str, float]]
     checks: tuple[GateCheck, ...]
     default_repeats: int = 1
-    #: One-time expensive work (git worktrees, golden passes); stash
-    #: results in ``ctx.scratch``.
-    setup: Callable[[GateContext], None] | None = None
-    teardown: Callable[[GateContext], None] | None = None
     #: Static facts for the record (workload description, ...).
     describe: Callable[[GateContext], dict[str, Any]] | None = None
     #: Workload-shape option keys ``measure``/``describe`` read.
@@ -279,7 +274,7 @@ def run_gate(
     *,
     capture_host: bool = True,
 ) -> tuple[GateResult, "_host.HostTelemetry | None"]:
-    """Run one gate: setup, repeat-and-take-median measurement, checks.
+    """Run one gate: repeat-and-take-median measurement, then checks.
 
     Returns the result plus the gate's host-telemetry capture (for
     Chrome-trace export; its snapshot is already embedded in the
@@ -390,13 +385,7 @@ def _run_workload(
     samples: list[dict[str, float]],
     extra: dict[str, Any],
 ) -> None:
-    if spec.setup is not None:
-        spec.setup(ctx)
-    try:
-        if spec.describe is not None:
-            extra.update(spec.describe(ctx))
-        for _ in range(repeats):
-            samples.append(dict(spec.measure(ctx)))
-    finally:
-        if spec.teardown is not None:
-            spec.teardown(ctx)
+    if spec.describe is not None:
+        extra.update(spec.describe(ctx))
+    for _ in range(repeats):
+        samples.append(dict(spec.measure(ctx)))

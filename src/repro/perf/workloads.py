@@ -5,9 +5,9 @@ Each gate is a :class:`~.gates.GateSpec` run by ``repro perf gate`` /
 
 ``tracing-overhead``
     Zero-cost-when-off contract of the flight recorder *and* host
-    telemetry: a structural leg (no wait edges, no host events, zero
-    host-clock reads while disabled) plus a timed comparison against a
-    base revision in a git worktree.
+    telemetry, as exact counts (:func:`zero_cost_check`): an untraced
+    workload makes no call into the disabled recorder, records no wait
+    edge and reads no host clock.
 ``plan-speedup``
     The TransferPlan cache must keep paying for itself: a repeated
     pack/send workload timed with the cache on against the same body
@@ -39,6 +39,7 @@ lists in its checks' ``option`` or its ``options`` field
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -48,163 +49,108 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Any
 
+from ..obs import host as _host
 from .gates import GateCheck, GateContext, GateSpec, register
 
-__all__ = ["STRUCTURAL_CHECK", "TIMING_WORKLOAD_TRACING"]
-
-
-# ======================================================================
-# Subprocess / worktree helpers (the tracing gate's base revision).
-# ======================================================================
-def _run(cmd: list[str], **kwargs: Any) -> str:
-    return subprocess.run(
-        cmd, check=True, capture_output=True, text=True, **kwargs
-    ).stdout.strip()
-
-
-def _time_snippet(tree: Path, snippet: str) -> float:
-    out = _run(
-        [sys.executable, "-c", snippet],
-        cwd=tree,
-        env={"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-    )
-    return float(out.splitlines()[-1])
-
-
-def _default_base(repo: Path) -> str:
-    """Merge-base with origin/main when it exists, else the parent."""
-    for candidate in ("origin/main", "main"):
-        try:
-            base = _run(["git", "merge-base", "HEAD", candidate], cwd=repo)
-        except (OSError, subprocess.CalledProcessError):
-            continue
-        head = _run(["git", "rev-parse", "HEAD"], cwd=repo)
-        if base != head:
-            return base
-    return "HEAD~1"
-
-
-def _setup_worktree(ctx: GateContext) -> None:
-    """Check the base revision out into a temp worktree (one-time)."""
-    worktree = Path(tempfile.mkdtemp(prefix="tracing-base-"))
-    _run(
-        ["git", "worktree", "add", "--detach", str(worktree), _default_base(ctx.repo)],
-        cwd=ctx.repo,
-    )
-    ctx.scratch["worktree"] = worktree
-    ctx.scratch["base_rev"] = _run(["git", "rev-parse", "HEAD"], cwd=worktree)
-
-
-def _teardown_worktree(ctx: GateContext) -> None:
-    worktree = ctx.scratch.pop("worktree", None)
-    if worktree is None:
-        return
-    subprocess.run(
-        ["git", "worktree", "remove", "--force", str(worktree)],
-        cwd=ctx.repo,
-        capture_output=True,
-    )
-    shutil.rmtree(worktree, ignore_errors=True)
+__all__ = ["ZERO_COST_SIZES", "zero_cost_check"]
 
 
 # ======================================================================
 # tracing-overhead
 # ======================================================================
-#: Runs in both trees; prints one float (best-of-run wall seconds).
-#: Keep this limited to APIs the base revision already has.
-TIMING_WORKLOAD_TRACING = """
-import time
-from repro.core import TimingPolicy, run_pingpong, strided_for_bytes
-
-def once():
-    for key in ("reference", "vector", "packing-vector", "buffered", "onesided"):
-        for nbytes in (4_096, 1_000_000):
-            run_pingpong(
-                key,
-                strided_for_bytes(nbytes),
-                "skx-impi",
-                policy=TimingPolicy(iterations=25, flush=True),
-                materialize=False,
-                trace=False,
-            )
-
-once()  # warm-up (imports, platform registry)
-times = []
-for _ in range(3):
-    t0 = time.perf_counter()
-    once()
-    times.append(time.perf_counter() - t0)
-print(min(times))
-"""
+#: The zero-cost check's message sizes on skx-impi: one eager, one
+#: rendezvous (its eager limit is 64 KiB).
+ZERO_COST_SIZES = (4_096, 1_000_000)
 
 
-#: Head-tree-only structural check of every disabled hot path: no wait
-#: edges from the flight recorder, AND no host-telemetry records or
-#: host-clock reads — `repro.obs.host._now` is the single funnel every
-#: host timestamp goes through, so counting its invocations proves the
-#: telemetry-off path never touches `perf_counter`.
-STRUCTURAL_CHECK = """
-from repro.core import TimingPolicy, run_pingpong, strided_for_bytes
-from repro.obs import host as host_mod
-from repro.sim.trace import Tracer
+def zero_cost_check() -> dict[str, float]:
+    """Run an untraced workload and count what tracing-off must never do.
 
-assert host_mod.active is None, "host telemetry must default to off"
-clock_calls = [0]
-_real_now = host_mod._now
-def _counting_now():
-    clock_calls[0] += 1
-    return _real_now()
-host_mod._now = _counting_now
+    The workload is every paper scheme at :data:`ZERO_COST_SIZES`
+    through the exec layer into a fresh result store, plus a 16-rank
+    fat-tree halo (the flow engine).  Returns three counts; the
+    zero-cost-when-off contract holds when all are 0:
 
-assert Tracer.wait_edges_enabled is False, "base Tracer must disable edge recording"
-result = run_pingpong(
-    "vector",
-    strided_for_bytes(1_000_000),
-    "skx-impi",
-    policy=TimingPolicy(iterations=2, flush=True),
-    materialize=False,
-    trace=False,
+    * ``recorder_calls`` — calls into any :class:`NullRecorder` method
+      (every site must guard on ``enabled`` before recording);
+    * ``wait_edges`` — wait-for edges recorded by any ``SpanRecorder``
+      (an untraced run must not carry an enabled recorder);
+    * ``clock_reads`` — reads of ``repro.obs.host._now``, the funnel
+      every host timestamp goes through (host telemetry is off).
+
+    The counters patch the classes for the duration of the call, so
+    host telemetry must be off when it starts.
+    """
+    from ..core import PAPER_ORDER, TimingPolicy, strided_for_bytes
+    from ..core.halo import HaloSpec, halo_program
+    from ..exec import CellSpec, Executor, ResultStore
+    from ..machine import get_platform
+    from ..mpi.runtime import run_mpi
+    from ..net import make_topology
+    from ..obs import NullRecorder, SpanRecorder
+    from ..obs import host as host_mod
+
+    if host_mod.active is not None:
+        raise RuntimeError("zero_cost_check needs host telemetry off")
+    counts = {"recorder_calls": 0, "wait_edges": 0, "clock_reads": 0}
+    targets = [
+        (NullRecorder, name, "recorder_calls")
+        for name, attr in vars(NullRecorder).items()
+        if callable(attr) and not name.startswith("__")
+    ]
+    targets += [
+        (SpanRecorder, "record_wait_edge", "wait_edges"),
+        (host_mod, "_now", "clock_reads"),
+    ]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in targets]
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for (owner, name, key), (_, _, fn) in zip(targets, saved):
+        setattr(owner, name, counting(fn, key))
+    try:
+        platform = get_platform("skx-impi")
+        policy = TimingPolicy(iterations=2, flush=True)
+        specs = [
+            CellSpec(scheme=key, layout=strided_for_bytes(nbytes),
+                     platform=platform, policy=policy, materialize=False)
+            for key in PAPER_ORDER
+            for nbytes in ZERO_COST_SIZES
+        ]
+        with tempfile.TemporaryDirectory(prefix="zero-cost-") as tmp:
+            Executor(cache=ResultStore(tmp)).run_batch(specs)
+        topo = make_topology("fat-tree", 16, ranks_per_node=4, placement="cyclic")
+        halo = halo_program(HaloSpec(nx=32, ny=16, ghost=2, iterations=1))
+        run_mpi(halo, nranks=16, platform=platform.with_topology(topo))
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+    return {key: float(value) for key, value in counts.items()}
+
+
+#: The gate's subprocess body: the check's counts as one JSON line.
+_ZERO_COST_MAIN = (
+    "import json; from repro.perf.workloads import zero_cost_check; "
+    "print(json.dumps(zero_cost_check()))"
 )
-tracer = result.tracer
-assert not isinstance(tracer, __import__("repro.obs", fromlist=["SpanRecorder"]).SpanRecorder)
-assert tracer.wait_edges_enabled is False
-assert tracer.wait_edges() == [], "untraced run recorded wait-for edges"
-
-host_mod._now = _real_now
-assert host_mod.active is None, "run flipped host telemetry on"
-assert clock_calls[0] == 0, (
-    f"telemetry-off run read the host clock {clock_calls[0]} times "
-    "(the disabled path must never call perf_counter)"
-)
-print("structural OK")
-"""
-
-
-def _tracing_setup(ctx: GateContext) -> None:
-    out = _run(
-        [sys.executable, "-c", STRUCTURAL_CHECK],
-        cwd=ctx.repo,
-        env={
-            "PYTHONPATH": str(ctx.repo / "src"),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-    ctx.scratch["structural_ok"] = 1.0 if out.splitlines()[-1] == "structural OK" else 0.0
-    _setup_worktree(ctx)
 
 
 def _tracing_measure(ctx: GateContext) -> dict[str, float]:
-    """One interleaved base/head timing (base first, so drifting load
-    biases neither side across repeats)."""
-    worktree: Path = ctx.scratch["worktree"]
-    t_base = _time_snippet(worktree, TIMING_WORKLOAD_TRACING)
-    t_head = _time_snippet(ctx.repo, TIMING_WORKLOAD_TRACING)
-    return {
-        "base_seconds": t_base,
-        "head_seconds": t_head,
-        "overhead": (t_head - t_base) / t_base,
-        "structural_ok": ctx.scratch["structural_ok"],
-    }
+    """:func:`zero_cost_check` in a fresh interpreter: ``run_gate``
+    captures host telemetry around this call, so in-process every
+    instrumented site would read the clock."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2]))
+    env.pop(_host.ENV_VAR, None)
+    out = subprocess.run(
+        [sys.executable, "-c", _ZERO_COST_MAIN],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 register(
@@ -213,25 +159,28 @@ register(
         title="flight recorder and host telemetry are zero-cost when off",
         ns="tracing",
         measure=_tracing_measure,
-        setup=_tracing_setup,
-        teardown=_teardown_worktree,
-        default_repeats=5,
         describe=lambda ctx: {
-            "base_rev": ctx.scratch.get("base_rev", "unknown"),
-            "workload": "10 untraced pingpong cells, 25 iterations, best of 3",
+            "workload": f"8 untraced schemes x {list(ZERO_COST_SIZES)} B through "
+            "a fresh store, plus a 16-rank fat-tree halo; calls counted",
         },
         checks=(
             GateCheck(
-                name="structural",
-                metric="structural_ok",
-                op=">=",
-                threshold=1.0,
+                name="recorder-calls",
+                metric="recorder_calls",
+                op="<=",
+                threshold=0.0,
             ),
             GateCheck(
-                name="untraced-overhead",
-                metric="overhead",
+                name="wait-edges",
+                metric="wait_edges",
                 op="<=",
-                threshold=0.05,
+                threshold=0.0,
+            ),
+            GateCheck(
+                name="host-clock-reads",
+                metric="clock_reads",
+                op="<=",
+                threshold=0.0,
             ),
         ),
     )

@@ -1,13 +1,14 @@
 """Deterministic discrete-event simulation kernel.
 
 Exports the :class:`Kernel` event loop, thread-backed :class:`SimTask`
-cooperative tasks, condition/barrier primitives, and structured tracing.
+cooperative tasks, condition/barrier primitives, and the trace records
+(the recorder itself is :class:`repro.obs.SpanRecorder`).
 """
 
 from .errors import DeadlockError, EventLimitExceeded, KernelStateError, SimError
 from .kernel import Kernel, SimTask, TaskState
 from .sync import SimBarrier, SimCondition
-from .trace import NullTracer, TraceEvent, Tracer
+from .trace import NULL_RECORDER, NullRecorder, TraceEvent
 
 __all__ = [
     "Kernel",
@@ -15,8 +16,8 @@ __all__ = [
     "TaskState",
     "SimBarrier",
     "SimCondition",
-    "Tracer",
-    "NullTracer",
+    "NullRecorder",
+    "NULL_RECORDER",
     "TraceEvent",
     "SimError",
     "DeadlockError",

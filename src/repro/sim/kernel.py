@@ -32,10 +32,13 @@ import itertools
 import threading
 from collections.abc import Callable
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import DeadlockError, EventLimitExceeded, KernelStateError, SimError
-from .trace import NullTracer, Tracer, WaitEdge, WakeCause
+from .trace import NULL_RECORDER, NullRecorder, WaitEdge, WakeCause
+
+if TYPE_CHECKING:
+    from ..obs.recorder import SpanRecorder
 
 __all__ = ["Kernel", "SimTask", "TaskState"]
 
@@ -81,7 +84,7 @@ class SimTask:
         self._killed = False
         self._wake_token = 0
         self._block_begin = 0.0
-        # Set by wake() while edge recording is on: (waker, notify_time,
+        # Set by wake() while tracing is on: (waker, notify_time,
         # cause); consumed when the resume event fires.
         self._pending_wake: tuple[str | None, float, WakeCause | None] | None = None
         self._thread = threading.Thread(target=self._thread_body, name=f"sim:{name}", daemon=True)
@@ -133,7 +136,7 @@ class SimTask:
             raise ValueError(f"cannot sleep for negative duration {duration!r}")
         if duration == 0:
             return
-        if self._kernel.tracer.wait_edges_enabled:
+        if self._kernel.tracer.enabled:
             now = self._kernel.now
             self._kernel.tracer.record_sleep(self.name, now, now + duration)
         self.state = TaskState.SLEEPING
@@ -165,7 +168,7 @@ class SimTask:
 
         Calling ``wake`` on a task that is not currently suspended is a
         programming error: there is no suspension for the wakeup to
-        target.  ``cause`` (only stored while edge recording is on)
+        target.  ``cause`` (only stored while tracing is on)
         documents *why* — it becomes part of the wait-for edge emitted
         when the resume fires.
         """
@@ -174,7 +177,7 @@ class SimTask:
         if self.state not in (TaskState.SLEEPING, TaskState.BLOCKED):
             raise KernelStateError(f"cannot wake {self.name!r}: state is {self.state.value}")
         kernel = self._kernel
-        if kernel.tracer.wait_edges_enabled:
+        if kernel.tracer.enabled:
             waker = kernel._current
             self._pending_wake = (waker.name if waker is not None else None, kernel.now, cause)
         # The task is suspended, so its wake token already carries the
@@ -188,7 +191,7 @@ class SimTask:
 class Kernel:
     """The event loop.  See module docstring for the execution model."""
 
-    def __init__(self, tracer: Tracer | None = None):
+    def __init__(self, tracer: "SpanRecorder | NullRecorder | None" = None):
         self._heap: list[tuple[float, int, str, Any]] = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -204,7 +207,11 @@ class Kernel:
         self._run_baton.acquire()
         #: Times the baton moved to a different thread.
         self.thread_switches = 0
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        #: The flight recorder: a ``SpanRecorder`` for a traced run,
+        #: else the shared disabled one.
+        self.tracer: SpanRecorder | NullRecorder = (
+            tracer if tracer is not None else NULL_RECORDER
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -325,7 +332,7 @@ class Kernel:
             elif kind == "start":
                 # Threads start lazily here so tasks spawned mid-run
                 # work the same as tasks spawned up front.
-                if tracer.wait_edges_enabled:
+                if tracer.enabled:
                     tracer.record_task_start(payload.name, time)
                 payload._thread.start()
                 return payload
@@ -335,7 +342,7 @@ class Kernel:
                     task.state in (TaskState.SLEEPING, TaskState.BLOCKED)
                     and token == task._wake_token
                 ):
-                    if task.state is TaskState.BLOCKED and tracer.wait_edges_enabled:
+                    if task.state is TaskState.BLOCKED and tracer.enabled:
                         pending = task._pending_wake
                         waker, notify_time, cause = (
                             pending if pending is not None else (None, time, None)
@@ -369,7 +376,7 @@ class Kernel:
 
     def _task_done(self, task: SimTask) -> None:
         self._live_count -= 1
-        if self.tracer.wait_edges_enabled and task.state is TaskState.FINISHED:
+        if self.tracer.enabled and task.state is TaskState.FINISHED:
             self.tracer.record_task_finish(task.name, self._now)
 
     def _abort_remaining(self) -> None:

@@ -41,7 +41,7 @@ class SimCondition:
         """Wake every current waiter ``delay`` virtual seconds from now.
 
         ``cause`` labels the wakeup for the wait-for graph (ignored when
-        edge recording is off).  Returns the number of tasks woken.
+        tracing is off).  Returns the number of tasks woken.
         """
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
@@ -78,7 +78,7 @@ class SimBarrier:
             self._arrived = 0
             self._generation += 1
             cause = None
-            if self._kernel.tracer.wait_edges_enabled:
+            if self._kernel.tracer.enabled:
                 now = self._kernel.now
                 hops = ((now, now + release_cost, "sync"),) if release_cost > 0 else ()
                 cause = WakeCause(

@@ -1,18 +1,24 @@
-"""Structured event tracing.
+"""The records a traced run produces, and the disabled recorder.
 
-The MPI layer records one :class:`TraceEvent` per interesting protocol
-step (pack, eager send, RTS/CTS, delivery, fence, ...).  Tests assert on
-traces to verify that a scheme exercised the code path the paper says it
-does — e.g. that a direct derived-type send staged through internal
-chunks while packing(v) did not.
+The MPI layer records one :class:`TraceEvent` (an instant marker) per
+interesting protocol step (pack, eager send, RTS/CTS, delivery, fence,
+...), and the kernel records one :class:`WaitEdge` per resolved wait.
+Tests assert on them to verify that a scheme exercised the code path
+the paper says it does — e.g. that a direct derived-type send staged
+through internal chunks while packing(v) did not.
+
+The recorder that collects them is :class:`repro.obs.SpanRecorder`.
+This module holds only the plain records and :class:`NullRecorder`, the
+disabled recorder the kernel defaults to, so the simulation layer does
+not import the observability package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
-__all__ = ["TraceEvent", "Tracer", "NullTracer", "WakeCause", "WaitEdge"]
+__all__ = ["NULL_RECORDER", "NullRecorder", "TraceEvent", "WakeCause", "WaitEdge"]
 
 
 @dataclass(frozen=True)
@@ -75,23 +81,27 @@ class TraceEvent:
         return f"[{self.time:.9f}] {self.category} {body}".rstrip()
 
 
-class Tracer:
-    """Collects :class:`TraceEvent` records in arrival order."""
+class NullRecorder:
+    """The disabled flight recorder: the recording methods are no-ops.
 
-    #: When True the kernel records wait-for edges, sleep segments and
-    #: task lifetimes (the raw material of the critical-path profiler).
-    #: Off on the base tracer; ``SpanRecorder`` turns it on.  A class
-    #: attribute so the disabled check is one attribute load.
-    wait_edges_enabled: bool = False
+    What an untraced kernel and world carry (one shared instance,
+    :data:`NULL_RECORDER`).  Instrumentation sites guard on
+    ``recorder.enabled`` before building a single argument, so a
+    correct untraced run never calls any of these methods; the
+    zero-cost check (:func:`repro.perf.workloads.zero_cost_check`)
+    counts the calls and requires none.  The active counterpart is
+    :class:`repro.obs.SpanRecorder`; ``wait_edges`` is the one query
+    both answer (a deadlock report reads it, traced or not).
+    """
 
-    def __init__(self) -> None:
-        self._events: list[TraceEvent] = []
+    #: A class attribute so the disabled check is one attribute load.
+    enabled = False
 
-    @property
-    def enabled(self) -> bool:
-        return True
+    # -- instant markers ------------------------------------------------
+    def record(self, time: float, category: str, **fields: Any) -> None:
+        pass
 
-    # -- wait-for graph hooks (no-ops unless wait_edges_enabled) -------
+    # -- wait-for graph (called by the kernel) --------------------------
     def record_wait_edge(self, edge: WaitEdge) -> None:
         pass
 
@@ -107,45 +117,23 @@ class Tracer:
     def wait_edges(self) -> list[WaitEdge]:
         return []
 
-    def record(self, time: float, category: str, **fields: Any) -> None:
-        """Append one event."""
-        self._events.append(TraceEvent(time=time, category=category, fields=fields))
+    # -- spans ----------------------------------------------------------
+    def begin(self, time: float, name: str, **kwargs: Any) -> None:
+        return None
 
-    def events(self, category: str | None = None, **match: Any) -> list[TraceEvent]:
-        """Events, optionally filtered by category and field values."""
-        out: Iterable[TraceEvent] = self._events
-        if category is not None:
-            out = (e for e in out if e.category == category)
-        for key, value in match.items():
-            out = (e for e in out if e.get(key) == value)
-        return list(out)
+    def end(self, span: Any, time: float, **attrs: Any) -> None:
+        return None
 
-    def count(self, category: str | None = None, **match: Any) -> int:
-        return len(self.events(category, **match))
+    def complete(self, begin: float, end: float, name: str, **kwargs: Any) -> None:
+        return None
 
-    def categories(self) -> set[str]:
-        return {e.category for e in self._events}
-
-    def clear(self) -> None:
-        self._events.clear()
-
-    def format(self) -> str:
-        """The whole trace as one printable block."""
-        return "\n".join(e.format() for e in self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-
-class NullTracer(Tracer):
-    """A tracer that drops everything (the default, for speed)."""
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def record(self, time: float, category: str, **fields: Any) -> None:
+    def push(self, rank: int | None, span: Any) -> None:
         pass
+
+    def pop(self, rank: int | None, span: Any) -> None:
+        pass
+
+
+#: The one disabled recorder: the kernel's default and every untraced
+#: world's ``obs``.  It holds no state, so one instance serves all.
+NULL_RECORDER = NullRecorder()

@@ -7,7 +7,8 @@ import pytest
 
 from repro.analysis.timeline import event_label, render_timeline
 from repro.mpi import run_mpi
-from repro.sim.trace import TraceEvent, Tracer
+from repro.obs import SpanRecorder
+from repro.sim.trace import TraceEvent
 
 
 def traced_pingpong(nbytes: int):
@@ -43,10 +44,10 @@ class TestRenderTimeline:
         assert times == sorted(times)
 
     def test_empty_trace(self):
-        assert "no protocol events" in render_timeline(Tracer())
+        assert "no protocol events" in render_timeline(SpanRecorder())
 
     def test_truncation_notice(self):
-        tracer = Tracer()
+        tracer = SpanRecorder()
         for i in range(50):
             tracer.record(float(i), "flush", rank=0, nbytes=10)
         text = render_timeline(tracer, max_events=10)

@@ -101,6 +101,9 @@ def test_advise_unknown_platform_is_a_usage_error(capsys):
     (["--stride", "1", "--blocklen", "2"], "stride must be at least blocklen"),
     (["--datatype", "indexed", "--jitter", "1.5"], "jitter must lie in [0, 1)"),
     (["--count", "-2"], "negative count -2"),
+    (["--ranks-per-node", "-3"], "--ranks-per-node must be positive, got -3"),
+    (["--ranks-per-node", "0"], "--ranks-per-node must be positive, got 0"),
+    (["--placement", "cyclic"], "--placement needs --ranks-per-node"),
 ])
 def test_advise_out_of_range_argument_is_a_usage_error(argv, message, capsys):
     """Out-of-range values exit 2 with one ``error:`` line on stderr,

@@ -1,4 +1,5 @@
-"""Integration: every in-text experiment and ablation passes (quick mode)."""
+"""Integration: every in-text experiment and ablation passes, in quick
+and in full mode."""
 
 from __future__ import annotations
 
@@ -37,6 +38,11 @@ class TestInTextExperiments:
         assert result.passed is not False, result.render()
         assert result.summary
         assert result.render()
+
+    def test_full_run_passes(self, exp_id):
+        result = run_experiment(exp_id)
+        assert result.exp_id == exp_id
+        assert result.passed is not False, result.render()
 
 
 class TestFigureExperiment:

@@ -30,6 +30,7 @@ from repro.core import PAPER_ORDER, TimingPolicy, run_pingpong, strided_for_byte
 from repro.machine.registry import get_platform
 from repro.mpi import SimBuffer, run_mpi
 from repro.obs import (
+    NULL_RECORDER,
     PERTURBATIONS,
     RESOURCES,
     extract_critical_path,
@@ -178,12 +179,13 @@ class TestZeroPerturbation:
         labels = {e.cause.label for e in edges if e.cause is not None}
         assert labels & {"rts", "send-complete", "data-landing", "barrier-release"}
 
-    def test_plain_tracer_keeps_edges_disabled(self):
-        from repro.sim.trace import Tracer
-
-        t = Tracer()
-        assert t.wait_edges_enabled is False
-        assert t.wait_edges() == []
+    def test_untraced_run_records_no_edges(self):
+        result = run_pingpong(
+            "reference", strided_for_bytes(1_000_000), "skx-impi",
+            policy=TimingPolicy(iterations=2, flush=True), materialize=False,
+        )
+        assert result.tracer is NULL_RECORDER
+        assert result.tracer.wait_edges() == []
 
 
 class TestDeadlockForensics:

@@ -13,6 +13,7 @@ from repro.core import PAPER_ORDER, TimingPolicy, run_pingpong, strided_for_byte
 from repro.mpi import SimBuffer, run_mpi
 from repro.obs import (
     PHASE_PRIORITY,
+    SpanRecorder,
     attribute_phases,
     chrome_trace,
     load_chrome_trace_schema,
@@ -97,10 +98,8 @@ class TestChromeExport:
         golden = json.loads(GOLDEN.read_text())
         assert produced == golden
 
-    def test_plain_tracer_exports_instants_only(self):
-        from repro.sim.trace import Tracer
-
-        tracer = Tracer()
+    def test_recorder_without_spans_exports_instants_only(self):
+        tracer = SpanRecorder()
         tracer.record(1e-6, "send.eager", rank=0, nbytes=8)
         doc = chrome_trace(tracer)
         validate_chrome_trace(doc)

@@ -20,7 +20,7 @@ from repro.perf import (
 )
 
 
-def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None, describe=None):
+def spec_of(measure, checks, *, repeats=1, describe=None):
     return GateSpec(
         name="synthetic",
         title="a synthetic gate",
@@ -28,8 +28,6 @@ def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None, describe=N
         measure=measure,
         checks=tuple(checks),
         default_repeats=repeats,
-        setup=setup,
-        teardown=teardown,
         describe=describe,
     )
 
@@ -117,10 +115,10 @@ class TestEngine:
 
     def test_workload_error_becomes_failing_result(self):
         def measure(ctx):
-            raise RuntimeError("worktree vanished")
+            raise RuntimeError("store vanished")
 
         result, _ = run_gate(spec_of(measure, [check()]))
-        assert result.error == "RuntimeError: worktree vanished"
+        assert result.error == "RuntimeError: store vanished"
         assert not result.passed
         assert result.checks[0].skipped
         assert result.checks[0].reason == "workload errored"
@@ -131,36 +129,21 @@ class TestEngine:
         assert not result.passed
         assert result.checks[0].reason == "metric 'speed' was never measured"
 
-    def test_setup_scratch_teardown_order(self):
+    def test_scratch_survives_repeats(self):
+        """One-time work cached in ``ctx.scratch`` by the first repeat is
+        seen by the later ones (the contention gate's golden passes)."""
         trail = []
 
-        def setup(ctx):
-            ctx.scratch["golden"] = 42
-            trail.append("setup")
-
         def measure(ctx):
+            if "golden" not in ctx.scratch:
+                ctx.scratch["golden"] = 42
+                trail.append("golden")
             trail.append("measure")
             return {"speed": float(ctx.scratch["golden"])}
 
-        def teardown(ctx):
-            trail.append("teardown")
-
-        result, _ = run_gate(
-            spec_of(measure, [check()], repeats=2, setup=setup, teardown=teardown)
-        )
-        assert trail == ["setup", "measure", "measure", "teardown"]
+        result, _ = run_gate(spec_of(measure, [check()], repeats=2))
+        assert trail == ["golden", "measure", "measure"]
         assert result.metrics["speed"] == 42.0
-
-    def test_teardown_runs_after_measure_error(self):
-        trail = []
-
-        def measure(ctx):
-            raise ValueError("boom")
-
-        result, _ = run_gate(
-            spec_of(measure, [check()], teardown=lambda ctx: trail.append("td"))
-        )
-        assert trail == ["td"] and result.error is not None
 
     def test_describe_lands_in_extra(self):
         result, _ = run_gate(

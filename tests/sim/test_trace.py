@@ -1,12 +1,13 @@
-"""Tracer tests."""
+"""Instant-marker and recorder tests."""
 
 from __future__ import annotations
 
-from repro.sim import Kernel, NullTracer, Tracer
+from repro.obs import SpanRecorder
+from repro.sim import NULL_RECORDER, Kernel, NullRecorder
 
 
 def test_record_and_filter():
-    tr = Tracer()
+    tr = SpanRecorder()
     tr.record(1.0, "send", rank=0, nbytes=100)
     tr.record(2.0, "send", rank=1, nbytes=200)
     tr.record(3.0, "recv", rank=1, nbytes=100)
@@ -18,7 +19,7 @@ def test_record_and_filter():
 
 
 def test_event_get_and_format():
-    tr = Tracer()
+    tr = SpanRecorder()
     tr.record(0.5, "x", a=1)
     ev = tr.events()[0]
     assert ev.get("a") == 1
@@ -27,14 +28,14 @@ def test_event_get_and_format():
 
 
 def test_clear():
-    tr = Tracer()
+    tr = SpanRecorder()
     tr.record(0.0, "x")
     tr.clear()
     assert len(tr) == 0
 
 
 def test_format_whole_trace():
-    tr = Tracer()
+    tr = SpanRecorder()
     tr.record(0.0, "alpha", v=1)
     tr.record(1.0, "beta", v=2)
     text = tr.format()
@@ -43,18 +44,18 @@ def test_format_whole_trace():
 
 
 def test_null_tracer_drops_everything():
-    tr = NullTracer()
+    tr = NullRecorder()
     tr.record(0.0, "x", a=1)
-    assert len(tr) == 0
+    assert tr.wait_edges() == []
     assert not tr.enabled
 
 
 def test_kernel_default_tracer_is_null():
     k = Kernel()
-    assert isinstance(k.tracer, NullTracer)
+    assert k.tracer is NULL_RECORDER
 
 
 def test_kernel_accepts_tracer():
-    tr = Tracer()
+    tr = SpanRecorder()
     k = Kernel(tracer=tr)
     assert k.tracer is tr and k.tracer.enabled
